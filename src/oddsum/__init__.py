@@ -1,34 +1,34 @@
 """Exact arithmetic for partial sums of the largest-odd-divisor function.
 
-Evaluators for V, U, G and their deviations v, u, g (each with an
-O(n) oracle and an O(log n) digit-walking form), block extrema of g,
-the solved equality-set enumerations, and a checker harness that
-verifies every sharp bound and identity mechanically.
+Evaluators for V, U, G and their deviations v, u, g: each sum with an
+O(n) oracle and a closed form built from two digit kernels (the digit
+reversal of n and the zero-digit functional h, evaluated by binary
+splitting), each deviation with that closed form and an independent
+recurrence as its second evaluator.  Also block extrema of g, the
+solved equality-set enumerations, and a checker harness that verifies
+every sharp bound and identity mechanically.
 """
 
 from .bitcore import (
-    BinaryDigits,
     DomainError,
     ResourceLimitError,
-    block_range,
     floor_lg,
     format_rational,
     hat,
     parse_rational,
-    popcount,
+    reverse_digits,
     round_pow2_over_3,
     tilde,
-    to_digits,
 )
 from .deviations import (
     dev_g,
+    dev_g_closed,
     dev_g_digit,
     dev_u,
     dev_u_closed,
     dev_v,
     dev_v_recur,
     h_eval,
-    two_stage_g,
 )
 from .extremal import (
     EQUALITY_KINDS,

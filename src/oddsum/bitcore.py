@@ -4,30 +4,26 @@ Everything downstream runs on arbitrary-precision integers and reduced
 fractions, so the heavy lifting is delegated to the stdlib: ``int`` is
 already an unbounded natural number and ``fractions.Fraction`` keeps
 every value reduced with a positive denominator.  This module adds the
-binary-digit view of an integer, the two digit involutions (complement
-and reflection) used throughout the package, the rounded thirds of
-powers of two, and the canonical ``p/q`` text form.
+digit reversal, the two digit involutions (complement and reflection)
+used throughout the package, the rounded thirds of powers of two, and
+the canonical ``p/q`` text form.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "BinaryDigits",
     "DomainError",
     "ResourceLimitError",
-    "block_range",
     "floor_lg",
     "format_rational",
     "hat",
     "parse_rational",
-    "popcount",
+    "reverse_digits",
     "round_pow2_over_3",
     "tilde",
-    "to_digits",
 ]
 
 
@@ -39,22 +35,6 @@ class ResourceLimitError(RuntimeError):
     """A brute-force computation or scan would exceed its configured cap."""
 
 
-@dataclass(frozen=True)
-class BinaryDigits:
-    """Binary digits of a positive integer, least significant first.
-
-    ``digits[k]`` is the coefficient of 2**k and ``digits[msb_index]``
-    is always 1, so right shifts of the source integer are suffix views
-    of ``digits``.
-    """
-
-    digits: tuple[int, ...]
-    msb_index: int
-
-    def to_int(self) -> int:
-        return sum(bit << k for k, bit in enumerate(self.digits))
-
-
 def floor_lg(n: int) -> int:
     """Index of the leading binary digit: the m with 2**m <= n < 2**(m+1)."""
     if n <= 0:
@@ -62,26 +42,15 @@ def floor_lg(n: int) -> int:
     return n.bit_length() - 1
 
 
-def to_digits(n: int) -> BinaryDigits:
-    """Decompose n >= 1 into its binary digits, lowest first."""
+def reverse_digits(n: int) -> int:
+    """The binary digits of n >= 1 read backwards: 6 = 0b110 gives 0b011 = 3.
+
+    Linear in the digit count: int <-> str conversion in base 2 has no
+    size limit and no quadratic step.
+    """
     if n <= 0:
-        raise DomainError("to_digits requires n >= 1")
-    m = n.bit_length() - 1
-    return BinaryDigits(tuple((n >> k) & 1 for k in range(m + 1)), m)
-
-
-def popcount(n: int) -> int:
-    """Number of set binary digits of n >= 0."""
-    if n < 0:
-        raise DomainError("popcount requires n >= 0")
-    return n.bit_count()
-
-
-def block_range(m: int) -> range:
-    """The block I_m: integers n with floor_lg(n) == m, as a range."""
-    if m < 0:
-        raise DomainError("block_range requires m >= 0")
-    return range(1 << m, 2 << m)
+        raise DomainError("reverse_digits requires n >= 1")
+    return int(bin(n)[:1:-1], 2)
 
 
 def hat(n: int) -> int:

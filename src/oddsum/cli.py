@@ -10,7 +10,10 @@
 Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
 Arguments are decimal or 0b-prefixed binary.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 resource cap exceeded.
+1 verification failure, 2 usage error, 3 resource cap exceeded.  The
+interpreter's int/str digit limit (sys.get_int_max_str_digits()) is one
+such cap: a decimal argument, an echoed argument or an exact value
+beyond it exits 3 and names the way round it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .bitcore import (
     parse_rational,
     tilde,
 )
-from .deviations import dev_g, dev_u, dev_v, h_eval
+from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
 from .extremal import argmax_g, lambda_m, scan_g_below, theta
 from .sums import alpha, g_fast, u_fast, v_fast
 
@@ -42,8 +45,8 @@ EVAL_FUNCTIONS = {
     "U": u_fast,
     "G": g_fast,
     "v": dev_v,
-    "u": dev_u,
-    "g": dev_g,
+    "u": dev_u_closed,
+    "g": dev_g_closed,
     "h": h_eval,
     "theta": theta,
     "hat": hat,
@@ -55,12 +58,35 @@ EVAL_FUNCTIONS = {
 _IRRATIONAL_LIMITS = {"inv1px": "0.462098120373"}
 
 
+def _str_digit_limit() -> int:
+    """The interpreter's int/str conversion limit in decimal digits; 0 if none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _digit_limit_error(what: str, remedy: str) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{what} has more than {_str_digit_limit()} decimal digits, the limit"
+        f" sys.get_int_max_str_digits() sets on int/str conversion; {remedy}"
+    )
+
+
 def parse_nat(text: str) -> int:
-    """A natural number, written in decimal or with a 0b binary prefix."""
+    """A natural number, written in decimal or with a 0b binary prefix.
+
+    Raises ResourceLimitError, which argparse passes through, for a
+    decimal numeral longer than the interpreter's digit limit.
+    """
     t = text.strip()
+    binary = t[:2].lower() == "0b"
     try:
-        value = int(t, 2 if t[:2].lower() == "0b" else 10)
+        value = int(t, 2 if binary else 10)
     except ValueError:
+        digits = t.lstrip("+-").replace("_", "")
+        limit = _str_digit_limit()
+        if not binary and digits.isdecimal() and limit and len(digits) > limit:
+            raise _digit_limit_error(
+                "the decimal argument", "write it in binary with the 0b prefix"
+            ) from None
         raise ValueError(f"not a natural number: {text!r}") from None
     if value < 0:
         raise ValueError(f"negative argument: {text!r}")
@@ -78,7 +104,26 @@ def _decimal_str(value: Fraction, digits: int) -> str:
 def _render(value: Fraction | int, decimal_digits: int | None) -> str:
     if decimal_digits is not None:
         return _decimal_str(Fraction(value), decimal_digits)
-    return format_rational(value)
+    try:
+        return format_rational(value)
+    except ValueError:  # str() of an int beyond the digit limit
+        raise _digit_limit_error(
+            "the exact value", "print N significant digits with --decimal N"
+        ) from None
+
+
+def _check_printable(n: int, remedy: str) -> None:
+    """Fail before any work if n, printed in decimal, breaks the digit limit."""
+    limit = _str_digit_limit()
+    # below 2**(3 * limit) < 10**limit a bit count settles it
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise _digit_limit_error("the argument", remedy)
+
+
+_ECHO_REMEDY = (
+    "json and csv output repeat it in decimal; use --format plain, adding"
+    " --decimal N if the value is as wide"
+)
 
 
 def _csv_writer():
@@ -86,6 +131,8 @@ def _csv_writer():
 
 
 def _cmd_eval(args) -> int:
+    if args.format != "plain":
+        _check_printable(args.n, _ECHO_REMEDY)
     value = EVAL_FUNCTIONS[args.function](args.n)
     rendered = _render(value, args.decimal)
     if args.format == "json":
@@ -194,6 +241,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_cesaro(args) -> int:
+    if args.format != "plain":
+        _check_printable(args.n, _ECHO_REMEDY)
     mean = sums.cesaro_mean(args.function, args.n)
     exact_limit = sums.cesaro_limit(args.function)
     if exact_limit is not None:
@@ -230,6 +279,7 @@ def _cmd_table(args) -> int:
             f"range of {args.stop - args.start + 1} rows exceeds the scan cap"
             f" {sums.DEFAULT_BRUTE_CAP}"
         )
+    _check_printable(args.stop, "every table row prints n in decimal")
     rows = (
         (n, [_render(EVAL_FUNCTIONS[name](n), args.decimal) for name in names])
         for n in range(args.start, args.stop + 1)
@@ -317,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
         return args.handler(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,18 +8,28 @@ the 2-adic valuation of k.  The package studies
     G(n) = sum_{k<=n} (n+1-k)/k * alpha(k) = (n+1)*V(n) - U(n)
 
 Each sum has two evaluators: a brute one running the defining sum term
-by term (the oracle, O(n), guarded by a cap) and a fast one walking the
-binary digits of n once, O(log n), built on the doubling rules
+by term (the oracle, O(n), guarded by a cap) and a fast one in closed
+form.  The doubling rules
 
     V(2n) = n + V(n)/2        V(2n+1) = n + 1 + V(n)/2
     U(2n) = n**2 + U(n)       U(2n+1) = (n+1)**2 + U(n)
     G(2n) = n(n+1) + G(n) - V(n)/2
     G(2n+1) = (n+1)**2 + G(n)
 
+are affine, so each sum is its envelope minus a deviation that depends
+on the binary digits of n only through the digit reversal and the
+functional h of the deviations module (m = floor_lg(n), e0 the parity
+of n, 3u = 2h(n >> 1) - e0*n):
+
+    V(n) = 2n/3 + reverse(n) / (3 * 2**m)
+    U(n) = (n**2 + n - 3u) / 3
+    G(n) = (n**2 + n + 3u) / 3 + (n+1) * reverse(n) / (3 * 2**m)
+
 V(n) and G(n) are dyadic rationals (denominator dividing 2**floor_lg(n)),
-U(n) an integer; all arithmetic here is exact.  The fast evaluators keep
-a scaled integer numerator along the digit walk and build one Fraction
-at the end.
+U(n) an integer; all arithmetic here is exact.  The fast evaluators do
+integer arithmetic only and build one Fraction at the end.  Their cost
+is that of h, O(M(m) log m) with M(m) the cost of an m-bit product,
+plus the reduction of that one Fraction.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
@@ -30,7 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .bitcore import DomainError, ResourceLimitError
+from .bitcore import DomainError, ResourceLimitError, reverse_digits
+from .deviations import _triple_u
 
 __all__ = [
     "CESARO_FUNCTIONS",
@@ -121,52 +132,28 @@ def scan_sums(
 
 
 def v_fast(n: int) -> Fraction:
-    """V(n) in one pass over the digits of n, most significant first."""
+    """V(n) = 2n/3 + v(n), with v the digit reversal over 3 * 2**m."""
     if n <= 0:
         raise DomainError("v_fast requires n >= 1")
     m = n.bit_length() - 1
-    prefix = 1
-    num = 1  # V(prefix) scaled by 2**level
-    for k in range(m - 1, -1, -1):
-        bit = (n >> k) & 1
-        num += (prefix + bit) << (m - k)
-        prefix = 2 * prefix + bit
-    return Fraction(num, 1 << m)
+    return Fraction((n << (m + 1)) + reverse_digits(n), 3 << m)
 
 
 def u_fast(n: int) -> int:
-    """U(n) in one pass over the digits of n, most significant first."""
+    """U(n) = (n**2 + n)/3 - u(n), with 3u = 2h(n >> 1) - e0*n."""
     if n < 0:
         raise DomainError("u_fast requires n >= 0")
-    if n == 0:
-        return 0
-    m = n.bit_length() - 1
-    prefix = 1
-    u = 1
-    for k in range(m - 1, -1, -1):
-        bit = (n >> k) & 1
-        u += (prefix + bit) ** 2
-        prefix = 2 * prefix + bit
-    return u
+    return (n * n + n - _triple_u(n)) // 3
 
 
 def g_fast(n: int) -> Fraction:
-    """G(n) in one pass over the digits of n, carrying V alongside."""
+    """G(n) = n(n+2)/3 - g(n), with g = n/3 - (n+1) v(n) - u(n)."""
     if n <= 0:
         raise DomainError("g_fast requires n >= 1")
     m = n.bit_length() - 1
-    prefix = 1
-    g_num = 1  # G(prefix) scaled by 2**level
-    v_num = 1  # V(prefix) scaled the same way
-    for k in range(m - 1, -1, -1):
-        bit = (n >> k) & 1
-        if bit:
-            g_num = ((prefix + 1) ** 2 << (m - k)) + 2 * g_num
-        else:
-            g_num = (prefix * (prefix + 1) << (m - k)) + 2 * g_num - v_num
-        v_num += (prefix + bit) << (m - k)
-        prefix = 2 * prefix + bit
-    return Fraction(g_num, 1 << m)
+    return Fraction(
+        ((n * n + n + _triple_u(n)) << m) + (n + 1) * reverse_digits(n), 3 << m
+    )
 
 
 CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")

@@ -10,8 +10,8 @@ so a failure always comes with the smallest counterexample.
 
 Identity-type claims (P2C, P2D, P6B, EQL21, EQ4_IDENTITY) additionally
 run seeded random trials at big arguments (256-bit by default), which
-guards the digit-walking evaluators far beyond scan range.  The seed is
-part of the RangeConfig, so every report is reproducible.
+guards the closed-form and recurrence evaluators far beyond scan range.
+The seed is part of the RangeConfig, so every report is reproducible.
 
 All checkers read their evaluators from an Evaluators bundle rather
 than calling module functions directly.  Swapping in a corrupted
@@ -570,13 +570,24 @@ def _check_cor10(config, ev):
 
 
 def _check_eq4(config, ev):
-    """G(n) = (n+1) V(n) - U(n)."""
+    """G(n) = (n+1) V(n) - U(n).
+
+    The fast sums share one kernel, so the identity alone holds by
+    algebra; G and U are also held against their envelopes minus the
+    deviations, which come from independent evaluators.
+    """
 
     def violation(n: int):
-        left = ev.sum_g(n)
-        right = (n + 1) * ev.sum_v(n) - ev.sum_u(n)
-        if left != right:
-            return _ce(right, left, n=n)
+        g, u = ev.sum_g(n), ev.sum_u(n)
+        right = (n + 1) * ev.sum_v(n) - u
+        if g != right:
+            return _ce(right, g, n=n)
+        from_dev = Fraction(n * (n + 2), 3) - ev.dev_g(n)
+        if g != from_dev:
+            return _ce(from_dev, g, n=n, function="G")
+        from_dev = Fraction(n * n + n, 3) - ev.dev_u(n)
+        if u != from_dev:
+            return _ce(from_dev, u, n=n, function="U")
         return None
 
     checked = 0
@@ -594,7 +605,7 @@ def _check_eq4(config, ev):
 
 
 def _check_oracle(config, ev):
-    """Digit-walking evaluators agree with the defining sums, term by term."""
+    """Closed-form evaluators agree with the defining sums, term by term."""
     checked = 0
     for n, v_ref, u_ref, g_ref in sums.scan_sums(config.max_n):
         checked += 1

@@ -5,15 +5,13 @@ from hypothesis import given, strategies as st
 
 from oddsum.bitcore import (
     DomainError,
-    block_range,
     floor_lg,
     format_rational,
     hat,
     parse_rational,
-    popcount,
+    reverse_digits,
     round_pow2_over_3,
     tilde,
-    to_digits,
 )
 
 
@@ -34,31 +32,22 @@ def test_floor_lg_brackets(n):
     assert 1 << m <= n < 2 << m
 
 
-def test_to_digits_examples():
-    six = to_digits(6)
-    assert six.digits == (0, 1, 1) and six.msb_index == 2
-    assert to_digits(1).digits == (1,)
-    assert to_digits(10).digits == (0, 1, 0, 1)
+def test_reverse_digits_examples():
+    assert reverse_digits(1) == 1
+    assert reverse_digits(6) == 3
+    assert reverse_digits(8) == 1
+    assert reverse_digits(13) == 11
     with pytest.raises(DomainError):
-        to_digits(0)
+        reverse_digits(0)
 
 
-@given(st.integers(min_value=1, max_value=1 << 128))
-def test_digits_roundtrip(n):
-    digits = to_digits(n)
-    assert digits.to_int() == n
-    assert digits.digits[digits.msb_index] == 1
-
-
-def test_popcount_examples():
-    assert popcount(0) == 0
-    assert popcount(7) == 3
-    assert popcount(10) == 2
-
-
-@given(st.integers(min_value=0, max_value=1 << 200))
-def test_popcount_matches_digit_string(n):
-    assert popcount(n) == bin(n).count("1")
+@given(st.integers(min_value=1, max_value=1 << 300))
+def test_reverse_digits_against_the_digit_loop(n):
+    # digit k of n lands at position floor_lg(n) - k
+    m = floor_lg(n)
+    assert reverse_digits(n) == sum(((n >> k) & 1) << (m - k) for k in range(m + 1))
+    if n % 2:
+        assert reverse_digits(reverse_digits(n)) == n
 
 
 def test_hat_examples():
@@ -105,13 +94,6 @@ def test_round_pow2_over_3_examples():
 @given(st.integers(min_value=0, max_value=4096))
 def test_round_pow2_over_3_is_nearest(m):
     assert abs(Fraction(1 << m, 3) - round_pow2_over_3(m)) < Fraction(1, 2)
-
-
-def test_block_range():
-    assert list(block_range(0)) == [1]
-    assert list(block_range(2)) == [4, 5, 6, 7]
-    with pytest.raises(DomainError):
-        block_range(-1)
 
 
 def test_format_rational():

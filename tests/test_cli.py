@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -227,3 +229,66 @@ def test_table_over_cap_exits_3(capsys):
 def test_missing_subcommand_exits_2(capsys):
     code, _, _ = run(capsys, "nonsense", "1")
     assert code == 2
+
+
+# The interpreter's int/str digit limit (4300 by default since CPython 3.11,
+# and in the 3.10 security releases) makes some exact output unprintable.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter has no int/str digit limit"
+)
+
+
+def significant(value, digits):
+    """value to `digits` significant digits, rounded half to even."""
+    context = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    return context.divide(Decimal(value.numerator), Decimal(value.denominator))
+
+
+def assert_digit_limit_exit(code, out, err, remedy):
+    assert code == 3 and out == ""
+    assert "sys.get_int_max_str_digits()" in err and str(DIGIT_LIMIT) in err
+    assert remedy in err
+    assert "Traceback" not in err
+
+
+@needs_digit_limit
+def test_eval_exact_value_over_digit_limit_exits_3(capsys):
+    n = (1 << 20000) - 1
+    code, out, err = run(capsys, "eval", "U", bin(n))
+    assert_digit_limit_exit(code, out, err, "--decimal N")
+    # the remedy it names works: 3U = n^2 + 2n at n = 2^m - 1
+    code, out, _ = run(capsys, "eval", "U", bin(n), "--decimal", "12")
+    assert code == 0 and out == f"{significant(Fraction(n * (n + 2), 3), 12)}\n"
+
+
+@needs_digit_limit
+def test_eval_json_echo_over_digit_limit_exits_3(capsys):
+    n = (1 << 16383) | 12345
+    code, out, err = run(capsys, "eval", "v", bin(n), "--format", "json")
+    assert_digit_limit_exit(code, out, err, "--decimal N")
+    code, out, _ = run(capsys, "eval", "v", bin(n), "--decimal", "6")
+    assert code == 0 and out == f"{significant(dev_v(n), 6)}\n"
+
+
+@needs_digit_limit
+def test_eval_alpha_json_over_digit_limit_exits_3(capsys):
+    n = bin((1 << 20000) - 1)
+    code, out, err = run(capsys, "eval", "alpha", n, "--format", "json")
+    assert_digit_limit_exit(code, out, err, "--format plain")
+    # the other commands that print their argument check it the same way
+    code, out, err = run(capsys, "cesaro", "x", n, "--format", "csv")
+    assert_digit_limit_exit(code, out, err, "--format plain")
+    code, out, err = run(capsys, "table", "alpha", n, n)
+    assert_digit_limit_exit(code, out, err, "every table row")
+
+
+@needs_digit_limit
+def test_decimal_argument_over_digit_limit_exits_3(capsys):
+    numeral = "7" * (DIGIT_LIMIT + 1)
+    code, out, err = run(capsys, "eval", "V", numeral)
+    assert_digit_limit_exit(code, out, err, "0b prefix")
+    assert "not a natural number" not in err
+    # at the limit itself the numeral is an ordinary argument
+    code, out, _ = run(capsys, "eval", "alpha", "7" * DIGIT_LIMIT)
+    assert code == 0 and out == "7" * DIGIT_LIMIT + "\n"

@@ -1,23 +1,35 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oddsum.bitcore import DomainError, hat, popcount, tilde
+from oddsum.bitcore import DomainError, hat, tilde
 from oddsum.deviations import (
+    _H_BASE_BITS,
     dev_g,
+    dev_g_closed,
     dev_g_digit,
     dev_u,
     dev_u_closed,
     dev_v,
     dev_v_recur,
     h_eval,
-    two_stage_g,
 )
 from oddsum.sums import g_fast, u_fast, v_fast
 
 big = st.integers(min_value=0, max_value=1 << 300)
 pos = st.integers(min_value=1, max_value=1 << 300)
+
+
+def h_linear(n):
+    """h by its definition, one term per zero digit below the leading one."""
+    m = n.bit_length() - 1
+    return sum(n >> (k + 1) for k in range(m) if not (n >> k) & 1)
+
+
+def random_width(rng, bits):
+    return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
 
 
 def test_dev_v_examples():
@@ -83,6 +95,27 @@ def test_h_examples():
         h_eval(0)
 
 
+def test_h_matches_the_definition_exhaustively():
+    for n in range(1, 1 << 12):
+        assert h_eval(n) == h_linear(n), n
+
+
+def test_h_matches_the_definition_at_wide_arguments():
+    # floor_lg(n) = bits - 1 runs from two below the base case to two above
+    rng = random.Random("h-widths")
+    around_base = range(_H_BASE_BITS - 1, _H_BASE_BITS + 4)
+    for bits in [*around_base, 1000, 5000]:
+        for _ in range(3):
+            n = random_width(rng, bits)
+            assert h_eval(n) == h_linear(n), bits
+
+
+def test_h_endpoints_at_large_m():
+    for m in (_H_BASE_BITS, _H_BASE_BITS + 1, 1000, 4097, 20000):
+        assert h_eval(1 << m) == (1 << m) - 1
+        assert h_eval((1 << m) - 1) == 0
+
+
 @given(pos)
 def test_h_bounds_with_exact_endpoint_sets(n):
     h = h_eval(n)
@@ -129,18 +162,27 @@ def test_dev_g_recurrences(n):
     assert dev_g(2 * n + 1) == dev_g(n)
 
 
-@given(big, st.integers(min_value=0, max_value=3))
-def test_two_stage_matches_direct(n, residue):
-    assert two_stage_g(n, residue) == dev_g(4 * n + residue)
+@given(big)
+def test_two_step_rules(n):
+    g, v = dev_g(n), dev_v(n)
+    assert dev_g(4 * n) == g + Fraction(3, 4) * v
+    assert dev_g(4 * n + 1) == g + v / 2
+    assert dev_g(4 * n + 2) == g + Fraction(1, 6) + v / 4
+    assert dev_g(4 * n + 3) == g
 
 
-def test_two_stage_rejects_bad_residue():
-    with pytest.raises(ValueError):
-        two_stage_g(1, 4)
-    with pytest.raises(ValueError):
-        two_stage_g(1, -1)
-    with pytest.raises(DomainError):
-        two_stage_g(-1, 0)
+@given(big)
+def test_dev_g_closed_agrees_with_both_walks(n):
+    closed = dev_g_closed(n)
+    assert closed == dev_g(n)
+    assert closed == dev_g_digit(n)
+
+
+def test_dev_g_closed_at_wide_arguments():
+    rng = random.Random("g-closed")
+    for bits in (4096, 4097):
+        n = random_width(rng, bits)
+        assert dev_g_closed(n) == dev_g(n) == dev_g_digit(n)
 
 
 @given(pos)
@@ -162,10 +204,12 @@ def test_shift_telescoping(n):
     while shifted:
         total += dev_v(shifted)
         shifted >>= 1
-    assert total == Fraction(2 * popcount(n), 3)
+    assert total == Fraction(2 * n.bit_count(), 3)
 
 
 def test_negative_arguments_rejected():
-    for fn in (dev_v, dev_v_recur, dev_u, dev_u_closed, dev_g, dev_g_digit):
+    for fn in (
+        dev_v, dev_v_recur, dev_u, dev_u_closed, dev_g, dev_g_closed, dev_g_digit
+    ):
         with pytest.raises(DomainError):
             fn(-1)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oddsum.bitcore import DomainError, ResourceLimitError
+from oddsum.deviations import dev_g, dev_u, dev_v_recur
 from oddsum.sums import (
     CESARO_FUNCTIONS,
     alpha,
@@ -71,6 +73,25 @@ def test_fast_matches_brute(n):
     assert v_fast(n) == v_brute(n)
     assert u_fast(n) == u_brute(n)
     assert g_fast(n) == g_brute(n)
+
+
+def test_closed_forms_match_the_defining_sums_to_2_12():
+    v, u, g = Fraction(0), 0, Fraction(0)
+    for n in range(1, (1 << 12) + 1):
+        v += Fraction(alpha(n), n)
+        u += alpha(n)
+        # G(n) = sum of V(j) over j <= n: the weight n+1-k counts j in [k, n]
+        g += v
+        assert (v_fast(n), u_fast(n), g_fast(n)) == (v, u, g), n
+
+
+def test_closed_forms_match_the_recurrences_at_4096_bits():
+    rng = random.Random("sums-4096")
+    for _ in range(8):
+        n = (1 << 4095) | rng.getrandbits(4095)
+        assert v_fast(n) == Fraction(2 * n, 3) + dev_v_recur(n)
+        assert u_fast(n) == Fraction(n * n + n, 3) - dev_u(n)
+        assert g_fast(n) == Fraction(n * (n + 2), 3) - dev_g(n)
 
 
 @given(mid)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oddsum.deviations import dev_g, dev_u
 from oddsum.sums import u_fast, v_fast
 from oddsum.verify import (
     CLAIMS,
@@ -134,14 +135,47 @@ def test_corrupted_h_is_noticed():
 
 def test_corrupted_dev_g_breaks_reflection():
     def bad_g(n):
-        from oddsum.deviations import dev_g
-
         return dev_g(n) + (1 if n == 9 else 0)
 
     ev = dataclasses.replace(Evaluators(), dev_g=bad_g)
     report = check("P6B", SMOKE, ev)
     assert report.status == "fail"
     assert dict(report.counterexample.inputs)["n"] == "9"
+
+
+def test_corrupted_dev_u_fails_eq4_at_smallest_corrupted_n():
+    def bad_u(n):
+        return dev_u(n) + (1 if n in (11, 40) else 0)
+
+    ev = dataclasses.replace(Evaluators(), dev_u=bad_u)
+    report = check("EQ4_IDENTITY", SMOKE, ev)
+    assert report.status == "fail"
+    assert report.checked_count == 11
+    assert dict(report.counterexample.inputs) == {"n": "11", "function": "U"}
+    assert report.counterexample.actual == str(u_fast(11))
+
+
+def test_corrupted_dev_g_fails_eq4_at_smallest_corrupted_n():
+    def bad_g(n):
+        return dev_g(n) + (1 if n in (13, 50) else 0)
+
+    ev = dataclasses.replace(Evaluators(), dev_g=bad_g)
+    report = check("EQ4_IDENTITY", SMOKE, ev)
+    assert report.status == "fail"
+    assert report.checked_count == 13
+    assert dict(report.counterexample.inputs) == {"n": "13", "function": "G"}
+
+
+def test_corrupted_deviations_fail_eq4_in_the_random_trials():
+    # past the scan range only the big-argument trials can notice
+    beyond = SMOKE.max_n
+    for field, fn in (("dev_u", dev_u), ("dev_g", dev_g)):
+        bad = dataclasses.replace(
+            Evaluators(), **{field: lambda n, fn=fn: fn(n) + (n > beyond)}
+        )
+        report = check("EQ4_IDENTITY", SMOKE, bad)
+        assert report.status == "fail"
+        assert report.checked_count == SMOKE.max_n + 1
 
 
 def test_seed_changes_random_arguments_but_not_verdicts():
