@@ -32,6 +32,7 @@ from .deviations import (
 )
 from .extremal import (
     EQUALITY_KINDS,
+    LAMBDA_M_CAP,
     ExtremalReport,
     SkeletonPair,
     argmax_g,

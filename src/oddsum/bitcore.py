@@ -12,17 +12,20 @@ the canonical ``p/q`` text form.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
     "DomainError",
     "ResourceLimitError",
+    "digit_limit_error",
     "floor_lg",
     "format_rational",
     "hat",
     "parse_rational",
     "reverse_digits",
     "round_pow2_over_3",
+    "str_digit_limit",
     "tilde",
 ]
 
@@ -33,6 +36,19 @@ class DomainError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A brute-force computation or scan would exceed its configured cap."""
+
+
+def str_digit_limit() -> int:
+    """The interpreter's int/str conversion limit in decimal digits; 0 if none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def digit_limit_error(what: str, remedy: str) -> ResourceLimitError:
+    """The error for a numeral or value beyond the int/str digit limit."""
+    return ResourceLimitError(
+        f"{what} has more than {str_digit_limit()} decimal digits, the limit"
+        f" sys.get_int_max_str_digits() sets on int/str conversion; {remedy}"
+    )
 
 
 def floor_lg(n: int) -> int:
@@ -101,14 +117,22 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` (decimal integers, q > 0) into a Fraction."""
+    """Parse ``p`` or ``p/q`` (decimal integers, q > 0) into a Fraction.
+
+    Raises ResourceLimitError, not ValueError, when p or q is longer
+    than the interpreter's int/str digit limit.
+    """
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"not a rational: {text!r} (expected 'p' or 'p/q')")
-    numerator = int(match.group(1))
-    if match.group(2) is None:
-        return Fraction(numerator)
-    denominator = int(match.group(2))
+    try:
+        numerator = int(match.group(1))
+        denominator = 1 if match.group(2) is None else int(match.group(2))
+    except ValueError:  # well-formed digits: only the digit limit refuses them
+        raise digit_limit_error(
+            "a numerator or denominator",
+            "python -X int_max_str_digits=N or PYTHONINTMAXSTRDIGITS=N raises it",
+        ) from None
     if denominator == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(numerator, denominator)

@@ -28,9 +28,11 @@ from fractions import Fraction
 from . import sums, verify
 from .bitcore import (
     ResourceLimitError,
+    digit_limit_error,
     format_rational,
     hat,
     parse_rational,
+    str_digit_limit,
     tilde,
 )
 from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
@@ -58,18 +60,6 @@ EVAL_FUNCTIONS = {
 _IRRATIONAL_LIMITS = {"inv1px": "0.462098120373"}
 
 
-def _str_digit_limit() -> int:
-    """The interpreter's int/str conversion limit in decimal digits; 0 if none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _digit_limit_error(what: str, remedy: str) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"{what} has more than {_str_digit_limit()} decimal digits, the limit"
-        f" sys.get_int_max_str_digits() sets on int/str conversion; {remedy}"
-    )
-
-
 def parse_nat(text: str) -> int:
     """A natural number, written in decimal or with a 0b binary prefix.
 
@@ -82,9 +72,9 @@ def parse_nat(text: str) -> int:
         value = int(t, 2 if binary else 10)
     except ValueError:
         digits = t.lstrip("+-").replace("_", "")
-        limit = _str_digit_limit()
+        limit = str_digit_limit()
         if not binary and digits.isdecimal() and limit and len(digits) > limit:
-            raise _digit_limit_error(
+            raise digit_limit_error(
                 "the decimal argument", "write it in binary with the 0b prefix"
             ) from None
         raise ValueError(f"not a natural number: {text!r}") from None
@@ -107,17 +97,17 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
     try:
         return format_rational(value)
     except ValueError:  # str() of an int beyond the digit limit
-        raise _digit_limit_error(
+        raise digit_limit_error(
             "the exact value", "print N significant digits with --decimal N"
         ) from None
 
 
 def _check_printable(n: int, remedy: str) -> None:
     """Fail before any work if n, printed in decimal, breaks the digit limit."""
-    limit = _str_digit_limit()
+    limit = str_digit_limit()
     # below 2**(3 * limit) < 10**limit a bit count settles it
     if limit and n.bit_length() > 3 * limit and n >= 10**limit:
-        raise _digit_limit_error("the argument", remedy)
+        raise digit_limit_error("the argument", remedy)
 
 
 _ECHO_REMEDY = (

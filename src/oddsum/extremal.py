@@ -32,6 +32,7 @@ from .sums import DEFAULT_BRUTE_CAP, u_fast, v_fast
 __all__ = [
     "EQUALITY_KINDS",
     "ExtremalReport",
+    "LAMBDA_M_CAP",
     "SkeletonPair",
     "argmax_g",
     "block_g_values",
@@ -44,6 +45,11 @@ __all__ = [
     "skeleton",
     "theta",
 ]
+
+
+# lambda_m refuses a larger m: its value has an m-bit numerator, and at
+# m = 2**20 printing even 10 significant digits already takes seconds.
+LAMBDA_M_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,12 +123,15 @@ def lambda_block(n: int, m: int) -> Fraction:
     return max(dev_g(base + t) for t in offsets)
 
 
-def block_g_values(n: int, m: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Fraction]:
-    """Exact g over the block {2**m n + t}, in offset order, by scan.
+def _block_g_numerators(n: int, m: int, cap: int) -> tuple[list[int], int]:
+    """g over the block {2**m n + t}, in offset order, as numerators over
+    one common denominator 3 * 2**(floor_lg(n) + m).
 
     Grown level by level from (g(n), v(n)) with the doubling rules as
-    scaled integers, one Fraction per element at the end.  Independent
-    of the closed form in lambda_block, so it can serve as its oracle.
+    scaled integers: at each level the scale doubles, so the even child
+    2x gets 2g + v (g + v/2) and the odd child 2x+1 gets 2g (g
+    unchanged), while v keeps its numerator at 2x and gains the 1/3
+    step at 2x+1.
     """
     if n <= 0:
         raise DomainError("block_g_values requires n >= 1")
@@ -135,28 +144,58 @@ def block_g_values(n: int, m: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Fractio
     g_nums = [int(dev_g(n) * scale)]
     v_nums = [int(dev_v(n) * scale)]
     for level in range(1, m + 1):
-        third = 1 << (m0 + level)  # the +1/3 step at this scale
-        next_g = []
-        next_v = []
-        for g_num, v_num in zip(g_nums, v_nums):
-            next_g.append(2 * g_num + v_num)  # even child: g + v/2
-            next_v.append(v_num)
-            next_g.append(2 * g_num)  # odd child: g unchanged
-            next_v.append(v_num + third)
+        size = 2 * len(g_nums)
+        doubled = [g + g for g in g_nums]
+        next_g = [0] * size
+        next_g[0::2] = [d + v for d, v in zip(doubled, v_nums)]
+        next_g[1::2] = doubled
         g_nums = next_g
-        v_nums = next_v
-    return [Fraction(g_num, 3 << (m0 + m)) for g_num in g_nums]
+        if level < m:  # the last level needs no v
+            third = 1 << (m0 + level)  # the 1/3 step at this scale
+            next_v = [0] * size
+            next_v[0::2] = v_nums
+            next_v[1::2] = [v + third for v in v_nums]
+            v_nums = next_v
+    return g_nums, 3 << (m0 + m)
+
+
+def block_g_values(n: int, m: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Fraction]:
+    """Exact g over the block {2**m n + t}, in offset order, by scan.
+
+    One Fraction per element, built from the integer block kernel, which
+    grows the block level by level from (g(n), v(n)) by the doubling
+    rules.  Independent of the closed form in lambda_block, so it can
+    serve as its oracle.  Raises ResourceLimitError when the block has
+    more than cap elements.
+    """
+    g_nums, denominator = _block_g_numerators(n, m, cap)
+    return [Fraction(g_num, denominator) for g_num in g_nums]
 
 
 def lambda_block_brute(n: int, m: int, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
-    """Literal maximum of g over the 2**m block, by full scan."""
-    return max(block_g_values(n, m, cap))
+    """Literal maximum of g over the 2**m block, by full scan.
+
+    Takes the maximum of the block kernel's integer numerators over
+    their one common denominator and builds a single Fraction; it shares
+    nothing with the two-candidate closed form in lambda_block.
+    """
+    g_nums, denominator = _block_g_numerators(n, m, cap)
+    return Fraction(max(g_nums), denominator)
 
 
 def lambda_m(m: int) -> Fraction:
-    """Maximum of g on I_m: (3m + 1 - (-1)**m 2**-m)/27, exactly."""
+    """Maximum of g on I_m: (3m + 1 - (-1)**m 2**-m)/27, exactly.
+
+    Raises ResourceLimitError, before building anything, for m beyond
+    LAMBDA_M_CAP.
+    """
     if m < 0:
         raise DomainError("lambda_m requires m >= 0")
+    if m > LAMBDA_M_CAP:
+        raise ResourceLimitError(
+            f"lambda_m(m) has an m-bit numerator; m is capped at {LAMBDA_M_CAP}"
+            " (oddsum.extremal.LAMBDA_M_CAP)"
+        )
     sign = -1 if m % 2 else 1
     return Fraction(((3 * m + 1) << m) - sign, 27 << m)
 

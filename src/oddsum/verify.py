@@ -148,6 +148,25 @@ def _random_args(config: RangeConfig, theorem: str) -> list[int]:
     return [top | rng.getrandbits(bits - 1) for _ in range(config.random_big_trials)]
 
 
+def _numerators_over(denominator: int, values) -> list[int] | None:
+    """The values as integer numerators over one common denominator.
+
+    None when some value is not a rational whose denominator divides it,
+    which only a corrupted evaluator returns; the caller then falls back
+    to exact Fraction arithmetic.
+    """
+    nums = []
+    for value in values:
+        try:
+            scale, rest = divmod(denominator, value.denominator)
+        except AttributeError:  # not a rational at all
+            return None
+        if rest:
+            return None
+        nums.append(value.numerator * scale)
+    return nums
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -318,29 +337,44 @@ def _check_cor5(config, ev):
 
 
 def _check_p2c(config, ev):
-    """Telescoping: v(n) + sum_p v(n >> p) = (2/3) popcount(n)."""
+    """Telescoping: v(n) + sum_p v(n >> p) = (2/3) popcount(n).
 
-    def telescoped(n: int) -> Fraction:
-        total = ev.dev_v(n)
+    Every term v(n >> p) lives over 3 * 2**m, m = floor_lg(n), so the
+    terms are summed as integers over that denominator and compared with
+    2 * popcount(n) * 2**m.  A term outside it (from a corrupted
+    evaluator) or a mismatch re-runs the sum in exact Fraction
+    arithmetic, which alone produces the report.
+    """
+
+    def violation(n: int):
+        terms = [ev.dev_v(n)]
         x = n
         while x:
-            total += ev.dev_v(x)
+            terms.append(ev.dev_v(x))
             x >>= 1
-        return total
+        m = n.bit_length() - 1
+        nums = _numerators_over(3 << m, terms)
+        if nums is not None and sum(nums) == n.bit_count() << (m + 1):
+            return None
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        target = Fraction(2 * n.bit_count(), 3)
+        if total != target:
+            return _ce(target, total, n=n)
+        return None
 
     checked = 0
     for n in range(1, config.max_n + 1):
         checked += 1
-        total = telescoped(n)
-        target = Fraction(2 * n.bit_count(), 3)
-        if total != target:
-            return checked, _ce(target, total, n=n)
+        bad = violation(n)
+        if bad:
+            return checked, bad
     for n in _random_args(config, "P2C"):
         checked += 1
-        total = telescoped(n)
-        target = Fraction(2 * n.bit_count(), 3)
-        if total != target:
-            return checked, _ce(target, total, n=n)
+        bad = violation(n)
+        if bad:
+            return checked, bad
     return checked, None
 
 
@@ -378,20 +412,36 @@ def _check_p6b(config, ev):
 
 
 def _check_eql21(config, ev):
-    """Two-step rules: g(4n), g(4n+1), g(4n+2), g(4n+3) from g(n), v(n)."""
+    """Two-step rules: g(4n), g(4n+1), g(4n+2), g(4n+3) from g(n), v(n).
+
+    g(n) and v(n) live over 3 * 2**m, m = floor_lg(n), and g(4n + r) over
+    3 * 2**(m+2), so each comparison is one of integers over the latter.
+    A value outside its denominator (from a corrupted evaluator) or a
+    mismatch re-runs that comparison in exact Fraction arithmetic, which
+    alone produces the report.
+    """
 
     def violation(n: int):
         g, v = ev.dev_g(n), ev.dev_v(n)
-        expect = (
-            g + Fraction(3, 4) * v,
-            g + v / 2,
-            g + Fraction(1, 6) + v / 4,
-            g,
-        )
+        m = max(n.bit_length() - 1, 0)  # n = 0 fits the n = 1 denominators
+        nums = _numerators_over(3 << m, (g, v))
+        expect_nums = None
+        if nums is not None:  # over 3 * 2**(m+2): 1/6 is 2**(m+1)
+            g4, v_num = 4 * nums[0], nums[1]
+            expect_nums = (g4 + 3 * v_num, g4 + 2 * v_num, g4 + (2 << m) + v_num, g4)
         for residue in range(4):
             actual = ev.dev_g(4 * n + residue)
-            if actual != expect[residue]:
-                return _ce(expect[residue], actual, n=n, residue=residue)
+            scaled = _numerators_over(12 << m, (actual,))
+            if expect_nums and scaled == [expect_nums[residue]]:
+                continue
+            expect = (
+                g + Fraction(3, 4) * v,
+                g + v / 2,
+                g + Fraction(1, 6) + v / 4,
+                g,
+            )[residue]
+            if actual != expect:
+                return _ce(expect, actual, n=n, residue=residue)
         return None
 
     checked = 0

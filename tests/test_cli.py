@@ -8,6 +8,7 @@ import pytest
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
 from oddsum.deviations import dev_v
+from oddsum.extremal import LAMBDA_M_CAP, lambda_m
 
 
 def run(capsys, *argv):
@@ -292,3 +293,26 @@ def test_decimal_argument_over_digit_limit_exits_3(capsys):
     # at the limit itself the numeral is an ordinary argument
     code, out, _ = run(capsys, "eval", "alpha", "7" * DIGIT_LIMIT)
     assert code == 0 and out == "7" * DIGIT_LIMIT + "\n"
+
+
+@needs_digit_limit
+def test_scan_threshold_over_digit_limit_exits_3(capsys):
+    for threshold in ("7" * (DIGIT_LIMIT + 1), "1/" + "7" * (DIGIT_LIMIT + 1)):
+        code, out, err = run(capsys, "scan", "g-below", threshold, "16")
+        assert_digit_limit_exit(code, out, err, "PYTHONINTMAXSTRDIGITS")
+        assert "invalid parse_rational value" not in err
+    # at the limit itself the threshold is an ordinary one
+    code, out, _ = run(capsys, "scan", "g-below", "1/" + "7" * DIGIT_LIMIT, "16")
+    assert code == 0 and out == "1 3 7 15\n"
+
+
+def test_eval_lambda_m_over_cap_exits_3(capsys):
+    code, out, err = run(capsys, "eval", "lambda_m", "0b" + "1" * 40)
+    assert code == 3 and out == ""
+    assert str(LAMBDA_M_CAP) in err and "LAMBDA_M_CAP" in err
+    assert "Traceback" not in err and "MemoryError" not in err
+    # the cap is checked before any work: the m just past it fails as fast
+    past_cap = str(LAMBDA_M_CAP + 1)
+    code, _, err = run(capsys, "eval", "lambda_m", past_cap, "--decimal", "10")
+    assert code == 3 and "LAMBDA_M_CAP" in err
+    assert lambda_m(LAMBDA_M_CAP).denominator.bit_length() > LAMBDA_M_CAP

@@ -81,12 +81,36 @@ def test_lambda_block_closed_matches_brute(n, m):
 
 
 def test_block_g_values_is_g_pointwise():
-    for n, m in ((1, 4), (3, 3), (7, 2), (12, 5)):
-        values = block_g_values(n, m)
-        base = n << m
-        assert values == [dev_g(base + t) for t in range(1 << m)]
+    for n in range(1, 17):
+        for m in range(7):
+            values = block_g_values(n, m)
+            base = n << m
+            assert values == [dev_g(base + t) for t in range(1 << m)]
+    for n, m in ((1 << 40, 3), ((1 << 70) - 1, 4), (12345678901, 6)):
+        assert block_g_values(n, m) == [dev_g((n << m) + t) for t in range(1 << m)]
     with pytest.raises(ResourceLimitError):
         block_g_values(1, 40)
+
+
+def test_block_scan_maximum_is_the_closed_form():
+    for n in range(1, 65):
+        for m in range(1, 11):
+            brute = lambda_block_brute(n, m)
+            assert brute == max(block_g_values(n, m))
+            assert brute == lambda_block(n, m)
+
+
+def test_block_scan_cap_and_domain():
+    # a block of exactly cap elements is scanned, one more level is refused
+    assert len(block_g_values(3, 9, cap=512)) == 512
+    assert lambda_block_brute(3, 9, cap=512) == lambda_block(3, 9)
+    for scan in (block_g_values, lambda_block_brute):
+        with pytest.raises(ResourceLimitError):
+            scan(3, 10, cap=512)
+        with pytest.raises(DomainError):
+            scan(0, 2)
+        with pytest.raises(DomainError):
+            scan(3, -1)
 
 
 def test_lambda_m_examples():

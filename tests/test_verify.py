@@ -1,9 +1,10 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
-from oddsum.deviations import dev_g, dev_u
+from oddsum.deviations import dev_g, dev_u, dev_v
 from oddsum.sums import u_fast, v_fast
 from oddsum.verify import (
     CLAIMS,
@@ -183,3 +184,71 @@ def test_seed_changes_random_arguments_but_not_verdicts():
         config = dataclasses.replace(SMOKE, seed=seed)
         assert check("P2C", config).status == "pass"
         assert check("EQ4_IDENTITY", config).status == "pass"
+
+
+# +1 keeps a deviation over its usual power-of-two-times-3 denominator,
+# +1/7 takes it outside; the reports must not depend on which.
+@pytest.mark.parametrize("delta, actual", [(1, "4"), (Fraction(1, 7), "16/7")])
+def test_corrupted_dev_v_fails_p2c_at_smallest_corrupted_n(delta, actual):
+    def bad_v(n):
+        return dev_v(n) + (delta if n in (21, 50) else 0)
+
+    ev = dataclasses.replace(Evaluators(), dev_v=bad_v)
+    report = check("P2C", SMOKE, ev)
+    assert report.status == "fail"
+    assert report.checked_count == 21
+    assert dict(report.counterexample.inputs) == {"n": "21"}
+    # v(21) enters the telescoped sum twice
+    assert report.counterexample.expected == "2"
+    assert report.counterexample.actual == actual
+
+
+@pytest.mark.parametrize("delta, actual", [(1, "23/16"), (Fraction(1, 7), "65/112")])
+def test_corrupted_dev_g_fails_eql21_at_smallest_corrupted_n(delta, actual):
+    def bad_g(n):
+        return dev_g(n) + (delta if n in (45, 90) else 0)
+
+    ev = dataclasses.replace(Evaluators(), dev_g=bad_g)
+    report = check("EQL21", SMOKE, ev)
+    assert report.status == "fail"
+    # 45 = 4 * 11 + 1, and the scan starts at n = 0
+    assert report.checked_count == 12
+    assert dict(report.counterexample.inputs) == {"n": "11", "residue": "1"}
+    assert (report.counterexample.expected, report.counterexample.actual) == (
+        "7/16",
+        actual,
+    )
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(1, 7)])
+def test_corrupted_deviations_fail_p2c_and_eql21_in_the_random_trials(delta):
+    # every random argument has 64 bits: only the trials reach these values
+    ev = dataclasses.replace(
+        Evaluators(), dev_v=lambda n: dev_v(n) + (delta if n > SMOKE.max_n else 0)
+    )
+    assert check("P2C", SMOKE, ev).checked_count == SMOKE.max_n + 1
+    ev = dataclasses.replace(
+        Evaluators(), dev_g=lambda n: dev_g(n) + (delta if n >> 64 else 0)
+    )
+    report = check("EQL21", SMOKE, ev)
+    assert report.status == "fail"
+    assert report.checked_count == SMOKE.max_n + 2
+    assert dict(report.counterexample.inputs)["residue"] == "0"
+
+
+def test_values_just_off_the_common_denominator_are_not_rounded_onto_it():
+    # v(21) = 7/16 = 21/48; 21/47 would round back onto 21/48, and a tiny
+    # offset on g(15) = 0 would round back onto 0
+    ev = dataclasses.replace(
+        Evaluators(), dev_v=lambda n: Fraction(21, 47) if n == 21 else dev_v(n)
+    )
+    report = check("P2C", SMOKE, ev)
+    assert report.line() == "P2C fail checked=21 n=21 expected=2 actual=759/376"
+    tiny = Fraction(1, 1 << 40)
+    ev = dataclasses.replace(
+        Evaluators(), dev_g=lambda n: dev_g(n) + (tiny if n == 15 else 0)
+    )
+    report = check("EQL21", SMOKE, ev)
+    assert report.line() == (
+        "EQL21 fail checked=4 n=3 residue=3 expected=0 actual=1/1099511627776"
+    )
