@@ -110,7 +110,9 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``p/q`` in lowest terms, bare ``p`` if q == 1."""
-    f = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -9,6 +9,10 @@
 
 Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
+--decimal N costs about one integer division at the value's width and
+prints what Decimal division at precision N prints.  main() builds its
+parser on the first call and every later call in the process reuses it;
+build_parser() still returns a fresh one.
 Arguments are decimal or 0b-prefixed binary.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 resource cap exceeded.  The
 interpreter's int/str digit limit (sys.get_int_max_str_digits()) is one
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -83,11 +88,51 @@ def parse_nat(text: str) -> int:
     return value
 
 
+# floor(log10(2) * 10**17), a shade below log10(2): k * _LOG10_2 // 10**17 - 1
+# stays at or below k * log10(2) for every bit count k an int can have
+_LOG10_2 = 30102999566398119
+
+
 def _decimal_str(value: Fraction, digits: int) -> str:
+    """str(Decimal(p) / Decimal(q)) at prec=digits, ROUND_HALF_EVEN, byte for byte.
+
+    Turning an int into a Decimal is quadratic in its digits.  When p or
+    q is wider than the digits asked for, one integer division first
+    yields a quotient of digits+1 to digits+3 digits and only that
+    coefficient becomes a Decimal.  An inexact quotient gets a sticky
+    digit 1, which rounds to any precision up to its own length as the
+    exact value would; an exact one sheds trailing zeros toward exponent
+    0, the ideal exponent of a division of integers.  Narrower operands
+    cost no more to convert than that quotient, so they are divided as
+    Decimals.
+    """
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = digits  # ValueError below 1, as the division gave
         ctx.rounding = ROUND_HALF_EVEN
-        result = Decimal(value.numerator) / Decimal(value.denominator)
+        p, q = value.numerator, value.denominator
+        magnitude = abs(p)
+        # 10/3 bits a digit, a shade over log2(10)
+        if 3 * max(magnitude.bit_length(), q.bit_length()) <= 10 * digits:
+            return str(Decimal(p) / Decimal(q))
+        # magnitude/q > 2**k >= 10**(digits - shift): the quotient reaches 10**digits
+        k = magnitude.bit_length() - q.bit_length() - 1
+        shift = digits - (k * _LOG10_2 // 10**17 - 1)
+        if shift >= 0:
+            coefficient, rest = divmod(magnitude * 10**shift, q)
+        else:
+            coefficient, rest = divmod(magnitude, q * 10**-shift)
+        exponent = -shift
+        if rest:
+            coefficient, exponent = 10 * coefficient + 1, exponent - 1
+        else:
+            while exponent < 0 and coefficient % 10 == 0:
+                coefficient //= 10
+                exponent += 1
+        if p < 0:
+            coefficient = -coefficient
+        # Decimal(int) and a (sign, digits, exponent) tuple are exact and never
+        # pass through str(int), so a coefficient past the digit limit is fine
+        result = ctx.multiply(Decimal(coefficient), Decimal((0, (1,), exponent)))
     return str(result)
 
 
@@ -288,7 +333,24 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _late(name: str):
+    """An argparse type that calls this module's `name` when it parses.
+
+    The parser main() shares outlives any one call, so a replacement for
+    cli.parse_nat or cli.parse_rational must be looked up at parse time.
+    The function's name keeps argparse's "invalid parse_nat value" text.
+    """
+
+    def convert(text: str):
+        return globals()[name](text)
+
+    convert.__name__ = name
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the oddsum command line."""
+    nat = _late("parse_nat")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--format", choices=("plain", "json", "csv"), default="plain",
@@ -308,20 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[shared], help="evaluate one function")
     p_eval.add_argument("function", choices=tuple(EVAL_FUNCTIONS))
-    p_eval.add_argument("n", type=parse_nat)
+    p_eval.add_argument("n", type=nat)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_verify = sub.add_parser("verify", parents=[shared], help="run theorem checkers")
     p_verify.add_argument("theorem", help="a theorem id or 'all'")
-    p_verify.add_argument("--max-n", type=parse_nat, default=verify.RangeConfig.max_n)
-    p_verify.add_argument("--max-m", type=parse_nat, default=verify.RangeConfig.max_m)
-    p_verify.add_argument("--max-r", type=parse_nat, default=verify.RangeConfig.max_r)
-    p_verify.add_argument("--max-p", type=parse_nat, default=verify.RangeConfig.max_p)
+    p_verify.add_argument("--max-n", type=nat, default=verify.RangeConfig.max_n)
+    p_verify.add_argument("--max-m", type=nat, default=verify.RangeConfig.max_m)
+    p_verify.add_argument("--max-r", type=nat, default=verify.RangeConfig.max_r)
+    p_verify.add_argument("--max-p", type=nat, default=verify.RangeConfig.max_p)
     p_verify.add_argument(
-        "--trials", type=parse_nat, default=verify.RangeConfig.random_big_trials
+        "--trials", type=nat, default=verify.RangeConfig.random_big_trials
     )
     p_verify.add_argument(
-        "--bits", type=parse_nat, default=verify.RangeConfig.random_bits
+        "--bits", type=nat, default=verify.RangeConfig.random_bits
     )
     p_verify.add_argument("--seed", type=int, default=verify.RangeConfig.seed)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -329,36 +391,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_extremal = sub.add_parser(
         "extremal", parents=[shared], help="extrema of g on a block I_m"
     )
-    p_extremal.add_argument("m", type=parse_nat)
+    p_extremal.add_argument("m", type=nat)
     p_extremal.set_defaults(handler=_cmd_extremal)
 
     p_scan = sub.add_parser("scan", parents=[shared], help="threshold scans")
     p_scan.add_argument("predicate", choices=("g-below",))
-    p_scan.add_argument("threshold", type=parse_rational)
-    p_scan.add_argument("bound", type=parse_nat)
+    p_scan.add_argument("threshold", type=_late("parse_rational"))
+    p_scan.add_argument("bound", type=nat)
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_cesaro = sub.add_parser(
         "cesaro", parents=[shared], help="weighted mean against its limit"
     )
     p_cesaro.add_argument("function", choices=sums.CESARO_FUNCTIONS)
-    p_cesaro.add_argument("n", type=parse_nat)
+    p_cesaro.add_argument("n", type=nat)
     p_cesaro.set_defaults(handler=_cmd_cesaro)
 
     p_table = sub.add_parser("table", parents=[shared], help="bulk value export")
     p_table.add_argument("functions", help="comma-separated function names")
-    p_table.add_argument("start", type=parse_nat, metavar="from")
-    p_table.add_argument("stop", type=parse_nat, metavar="to")
+    p_table.add_argument("start", type=nat, metavar="from")
+    p_table.add_argument("stop", type=nat, metavar="to")
     p_table.set_defaults(handler=_cmd_table)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call in this process shares, built on the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
         return args.handler(args)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oddsum
+from oddsum import cli
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
 from oddsum.deviations import dev_v
@@ -316,3 +322,125 @@ def test_eval_lambda_m_over_cap_exits_3(capsys):
     code, _, err = run(capsys, "eval", "lambda_m", past_cap, "--decimal", "10")
     assert code == 3 and "LAMBDA_M_CAP" in err
     assert lambda_m(LAMBDA_M_CAP).denominator.bit_length() > LAMBDA_M_CAP
+
+
+# --decimal N: integer rendering against the Decimal division it replaces
+
+# up to 20000 bits: at 5000 digits only operands past 16667 bits take the
+# integer division, narrower ones the Decimal one
+signed_ints = st.integers(0, 20000).flatmap(
+    lambda bits: st.integers(-(1 << bits), 1 << bits)
+)
+exact_denominators = st.builds(
+    lambda a, b: 2**a * 5**b, st.integers(0, 300), st.integers(0, 300)
+)
+with_trailing_zeros = st.builds(
+    lambda c, z: Fraction(c * 10**z), st.integers(-999, 999), st.integers(0, 60)
+)
+rationals = st.one_of(
+    st.builds(Fraction, signed_ints, st.integers(1, 20000).flatmap(
+        lambda bits: st.integers(1, 1 << bits)
+    )),
+    st.builds(Fraction, signed_ints, exact_denominators),
+    with_trailing_zeros,
+)
+
+
+@given(rationals, st.sampled_from([1, 2, 3, 6, 30, 5000]))
+@example(Fraction(0), 1)
+@example(Fraction(200), 1)
+@example(Fraction(200), 30)
+@example(Fraction(12300), 2)
+@example(Fraction(12300), 3)
+@example(Fraction(-12300), 30)
+@example(Fraction(10**40), 30)
+@example(Fraction(10**40), 5000)
+@example(Fraction(25, 10**5), 1)
+@example(Fraction(35, 10**5), 1)
+@example(Fraction(-25, 10**5), 1)
+@example(Fraction(1, 4) + Fraction(1, 3 * 10**40), 1)
+@example(Fraction(1, 3), 5000)
+def test_decimal_str_is_the_decimal_division(value, digits):
+    assert cli._decimal_str(value, digits) == str(significant(value, digits))
+
+
+def test_eval_decimal_beyond_digit_limit(capsys):
+    # 6000 significant digits of a 12042-digit value: more than str(int) may give
+    n = (1 << 20000) - 1
+    code, out, _ = run(capsys, "eval", "U", bin(n), "--decimal", "6000")
+    assert code == 0 and out == f"{significant(Fraction(n * (n + 2), 3), 6000)}\n"
+
+
+def test_decimal_digits_below_one_exit_2(capsys):
+    for digits in ("0", "-3"):
+        code, out, err = run(capsys, "eval", "V", "5", "--decimal", digits)
+        assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_eval_lambda_m_decimal(capsys):
+    code, out, _ = run(capsys, "eval", "lambda_m", "65536", "--decimal", "10")
+    assert code == 0 and out == f"{significant(lambda_m(65536), 10)}\n"
+
+
+# main() keeps one parser for the life of the process
+
+FRESH = "import sys\nfrom oddsum.cli import main\nsys.exit(main(sys.argv[1:]))"
+SEQUENCE = (
+    ("eval", "v", "13", "--decimal", "3"),
+    ("eval", "v", "13"),
+    ("eval", "G", "0b1011", "--format", "json"),
+    ("verify", "COR5", "--max-n", "64", "--format", "json"),
+    ("table", "g,V", "1", "9", "--format", "csv"),
+    ("eval", "u", "12", "--decimal", "5", "--format", "csv"),
+)
+
+
+def fresh_stdout(argv):
+    """stdout of `argv` in a new interpreter, which builds its own parser."""
+    src = os.path.dirname(os.path.dirname(oddsum.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH, *argv],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )  # fmt: skip
+    return done.stdout
+
+
+def test_shared_parser_matches_a_fresh_process(capsys):
+    expected = {argv: fresh_stdout(argv) for argv in SEQUENCE}
+    for argv in SEQUENCE + SEQUENCE[::-1]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected[argv], argv
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()  # public: always fresh
+    run(capsys, "eval", "V", "4")
+    monkeypatch.setattr(
+        cli, "build_parser", lambda: pytest.fail("main() built a second parser")
+    )
+    assert run(capsys, "eval", "V", "4")[:2] == (0, "11/4\n")
+
+
+def test_parse_nat_replacement_reaches_the_shared_parser(capsys, monkeypatch):
+    assert run(capsys, "eval", "V", "4")[:2] == (0, "11/4\n")
+    seen = []
+
+    def spy(text):
+        seen.append(text)
+        return parse_nat(text)
+
+    monkeypatch.setattr(cli, "parse_nat", spy)
+    assert run(capsys, "eval", "V", "0b100")[:2] == (0, "11/4\n")
+    assert run(capsys, "verify", "COR5", "--max-n", "8")[:2] == (
+        0, "COR5 pass checked=8\n",
+    )  # fmt: skip
+    assert seen == ["0b100", "8"]
+
+
+def test_bad_argument_names_its_type(capsys):
+    for _ in range(2):  # the second call goes through the shared parser
+        code, _, err = run(capsys, "eval", "V", "abc")
+        assert code == 2 and "invalid parse_nat value: 'abc'" in err
+        code, _, err = run(capsys, "scan", "g-below", "0.25", "16")
+        assert code == 2 and "invalid parse_rational value: '0.25'" in err
