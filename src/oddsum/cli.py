@@ -10,7 +10,8 @@
 Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
 --decimal N costs about one integer division at the value's width and
-prints what Decimal division at precision N prints.  main() builds its
+prints what Decimal division at precision N prints; N beyond
+DECIMAL_DIGITS_CAP exits 3 before any work.  main() builds its
 parser on the first call and every later call in the process reuses it;
 build_parser() still returns a fresh one.
 Arguments are decimal or 0b-prefixed binary.  Exit codes: 0 success,
@@ -41,10 +42,17 @@ from .bitcore import (
     tilde,
 )
 from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
-from .extremal import argmax_g, lambda_m, scan_g_below, theta
+from .extremal import LAMBDA_M_CAP, argmax_g, lambda_m, scan_g_below, theta
 from .sums import alpha, g_fast, u_fast, v_fast
 
-__all__ = ["main", "parse_nat"]
+__all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
+
+# --decimal N refuses a larger N.  N costs mostly the memory of its
+# output, about 2.3 bytes a digit: `eval v 13` peaks at 19 MB for 10**6
+# digits (0.01 s) and 86 MB for 3 * 10**7 (0.17 s).  A million digits is
+# three times the width of lambda_m at LAMBDA_M_CAP, the widest value
+# eval makes from a small argument.
+DECIMAL_DIGITS_CAP = 10**6
 
 EVAL_FUNCTIONS = {
     "alpha": alpha,
@@ -147,12 +155,12 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
         ) from None
 
 
-def _check_printable(n: int, remedy: str) -> None:
+def _check_printable(n: int, remedy: str, what: str = "the argument") -> None:
     """Fail before any work if n, printed in decimal, breaks the digit limit."""
     limit = str_digit_limit()
     # below 2**(3 * limit) < 10**limit a bit count settles it
     if limit and n.bit_length() > 3 * limit and n >= 10**limit:
-        raise digit_limit_error("the argument", remedy)
+        raise digit_limit_error(what, remedy)
 
 
 _ECHO_REMEDY = (
@@ -223,6 +231,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    # the points print in decimal, the widest being 2**(m+1) - 1; an m
+    # past LAMBDA_M_CAP is argmax_g's to refuse, without building it
+    if args.m <= LAMBDA_M_CAP:
+        _check_printable(
+            (2 << args.m) - 1,
+            "the points always print in decimal; python -X int_max_str_digits=N"
+            " or PYTHONINTMAXSTRDIGITS=N raises the limit",
+            what="the largest extremal point",
+        )
     report = argmax_g(args.m)
     min_value = _render(report.min_value, args.decimal)
     max_value = _render(report.max_value, args.decimal)
@@ -428,6 +445,11 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
+        if args.decimal is not None and args.decimal > DECIMAL_DIGITS_CAP:
+            raise ResourceLimitError(
+                f"--decimal {args.decimal} asks for more than {DECIMAL_DIGITS_CAP}"
+                " significant digits (oddsum.cli.DECIMAL_DIGITS_CAP)"
+            )
         return args.handler(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

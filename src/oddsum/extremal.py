@@ -210,7 +210,10 @@ def theta(n: int) -> Fraction:
 
 def argmax_g(m: int) -> ExtremalReport:
     """Where g is extremal on I_m: min 0 at the all-ones point, max at
-    the two skeleton points (one point only for m in {0, 1})."""
+    the two skeleton points (one point only for m in {0, 1}).
+
+    Raises ResourceLimitError, before any work, for m beyond LAMBDA_M_CAP.
+    """
     if m < 0:
         raise DomainError("argmax_g requires m >= 0")
     if m == 0:
@@ -218,13 +221,14 @@ def argmax_g(m: int) -> ExtremalReport:
         return ExtremalReport(0, zero, (1,), zero, (1,), True)
     if m == 1:
         return ExtremalReport(1, Fraction(0), (3,), Fraction(1, 6), (2,), True)
+    max_value = lambda_m(m)  # refuses m past LAMBDA_M_CAP before the skeleton work
     top = (1 << m) + skeleton(m // 2).x
     second = (1 << m) + skeleton((m - 1) // 2).y
     return ExtremalReport(
         m,
         Fraction(0),
         ((2 << m) - 1,),
-        lambda_m(m),
+        max_value,
         tuple(sorted((top, second))),
         False,
     )

@@ -13,6 +13,12 @@ run seeded random trials at big arguments (256-bit by default), which
 guards the closed-form and recurrence evaluators far beyond scan range.
 The seed is part of the RangeConfig, so every report is reproducible.
 
+Verdicts are integer arithmetic: a checker cross-multiplies the
+numerators and denominators of its values (as_integer_ratio, exact for
+ints, Fractions and floats) or brings them over one common denominator,
+with an exact Fraction fallback for a value outside it.  Fractions are
+built only to write a failure report, which is that of exact comparison.
+
 All checkers read their evaluators from an Evaluators bundle rather
 than calling module functions directly.  Swapping in a corrupted
 wrapper (dataclasses.replace on the default bundle) is the
@@ -167,6 +173,22 @@ def _numerators_over(denominator: int, values) -> list[int] | None:
     return nums
 
 
+def _scan_then_random(config: RangeConfig, theorem: str, first: int = 1):
+    """first..max_n ascending, then the random big arguments."""
+    yield from range(first, config.max_n + 1)
+    yield from _random_args(config, theorem)
+
+
+def _first_failure(violation, args, checked: int = 0):
+    """Count through args up to the first n where violation(n) reports."""
+    for n in args:
+        checked += 1
+        bad = violation(n)
+        if bad:
+            return checked, bad
+    return checked, None
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -183,12 +205,13 @@ def _check_p1b(config, ev):
     checked = 0
     for n in range(1, config.max_n + 1):
         checked += 1
-        triple = 3 * ev.sum_v(n)
-        if not 2 * n < triple < 2 * n + 2:
+        value = ev.sum_v(n)
+        p, q = value.as_integer_ratio()
+        if not 2 * n * q < 3 * p < (2 * n + 2) * q:
             return checked, _ce(
                 f"strictly between {_fmt(Fraction(2 * n, 3))} and"
                 f" {_fmt(Fraction(2 * n + 2, 3))}",
-                triple / 3,
+                3 * value / 3,  # an int value reports as a float, e.g. 3.0
                 n=n,
             )
     return checked, None
@@ -196,15 +219,16 @@ def _check_p1b(config, ev):
 
 def _check_cor3(config, ev):
     """v sits in (0, 1/3) at even arguments and (1/3, 2/3) at odd ones."""
-    third = Fraction(1, 3)
     checked = 0
     for n in range(1, config.max_n + 1):
         checked += 1
         even = ev.dev_v(2 * n)
-        if not 0 < even < third:
+        p, q = even.as_integer_ratio()
+        if not (0 < p and 3 * p < q):
             return checked, _ce("in (0, 1/3)", even, n=2 * n)
         odd = ev.dev_v(2 * n + 1)
-        if not third < odd < 2 * third:
+        p, q = odd.as_integer_ratio()
+        if not q < 3 * p < 2 * q:
             return checked, _ce("in (1/3, 2/3)", odd, n=2 * n + 1)
     return checked, None
 
@@ -216,14 +240,21 @@ def _check_cor4(config, ev):
         checked += 1
         m = n.bit_length() - 1
         value = ev.dev_v(n)
+        p, q = value.as_integer_ratio()
+        # value and both bounds over 3n * 2**m, times q
+        scaled = (3 * n << m) * p
+        low_q, high_q = n * q, (((2 * n - 2) << m) + 1) * q
+        in_range, at_low = low_q <= scaled <= high_q, scaled == low_q
+        is_top = n == (2 << m) - 1
+        if in_range and at_low == _is_pow2(n) and (scaled == high_q) == is_top:
+            continue
         low = Fraction(1, 3 << m)
         high = Fraction(2, 3) - Fraction((2 << m) - 1, (3 * n) << m)
-        if not low <= value <= high:
+        if not in_range:
             return checked, _ce(f"in [{_fmt(low)}, {_fmt(high)}]", value, n=n)
-        if (value == low) != _is_pow2(n):
+        if at_low != _is_pow2(n):
             return checked, _ce(f"{_fmt(low)} exactly iff n = 2^m", value, n=n)
-        if (value == high) != (n == (2 << m) - 1):
-            return checked, _ce(f"{_fmt(high)} exactly iff n = 2^(m+1)-1", value, n=n)
+        return checked, _ce(f"{_fmt(high)} exactly iff n = 2^(m+1)-1", value, n=n)
     return checked, None
 
 
@@ -233,12 +264,13 @@ def _check_t5(config, ev):
     for n in range(1, config.max_n + 1):
         checked += 1
         value = ev.sum_v(n)
-        low_gap = 3 * n * value - (2 * n * n + 1)
+        p, q = value.as_integer_ratio()
+        low_gap = 3 * n * p - (2 * n * n + 1) * q
         if low_gap < 0:
             return checked, _ce(f">= {_fmt(Fraction(2 * n * n + 1, 3 * n))}", value, n=n)
         if (low_gap == 0) != _is_pow2(n):
             return checked, _ce("lower equality iff n = 2^m", value, n=n)
-        high_gap = 2 * n * (n + 2) - 3 * (n + 1) * value
+        high_gap = 2 * n * (n + 2) * q - 3 * (n + 1) * p
         if high_gap < 0:
             return checked, _ce(
                 f"<= {_fmt(Fraction(2 * n * (n + 2), 3 * (n + 1)))}", value, n=n
@@ -306,9 +338,10 @@ def _check_p4b(config, ev):
     for n in range(1, config.max_n + 1):
         checked += 1
         value = ev.sum_g(n)
-        if 12 * value < 4 * n * n + 7 * n:
+        p, q = value.as_integer_ratio()
+        if 12 * p < (4 * n * n + 7 * n) * q:
             return checked, _ce(f">= {_fmt(Fraction(4 * n * n + 7 * n, 12))}", value, n=n)
-        if 3 * value > n * (n + 2):
+        if 3 * p > n * (n + 2) * q:
             return checked, _ce(f"<= {_fmt(Fraction(n * (n + 2), 3))}", value, n=n)
     return checked, None
 
@@ -320,7 +353,8 @@ def _check_p5c(config, ev):
         checked += 1
         value = ev.dev_g(n)
         m = n.bit_length() - 1
-        if not (0 <= value and 3 * value <= m):
+        p, q = value.as_integer_ratio()
+        if not (0 <= p and 3 * p <= m * q):
             return checked, _ce(f"in [0, {_fmt(Fraction(m, 3))}]", value, n=n)
     return checked, None
 
@@ -331,7 +365,7 @@ def _check_cor5(config, ev):
     for n in range(1, config.max_n + 1):
         checked += 1
         value = ev.dev_g(n)
-        if (value == 0) != _is_all_ones(n):
+        if (value.as_integer_ratio()[0] == 0) != _is_all_ones(n):
             return checked, _ce("0 exactly iff n = 2^r - 1", value, n=n)
     return checked, None
 
@@ -341,8 +375,10 @@ def _check_p2c(config, ev):
 
     Every term v(n >> p) lives over 3 * 2**m, m = floor_lg(n), so the
     terms are summed as integers over that denominator and compared with
-    2 * popcount(n) * 2**m.  A term outside it (from a corrupted
-    evaluator) or a mismatch re-runs the sum in exact Fraction
+    2 * popcount(n) * 2**m.  The scan telescopes, S(n) = sum_p v(n >> p)
+    over 3 * 2**m being v(n) + 2 S(n >> 1), so it evaluates v(n) alone.
+    A term outside the denominator (from a corrupted evaluator), an
+    unconfirmed S(n >> 1) or a mismatch re-runs the sum in exact Fraction
     arithmetic, which alone produces the report.
     """
 
@@ -364,76 +400,73 @@ def _check_p2c(config, ev):
             return _ce(target, total, n=n)
         return None
 
+    prefix_sums = [0] + [None] * config.max_n  # S(n), None where unconfirmed
     checked = 0
     for n in range(1, config.max_n + 1):
         checked += 1
+        value, m = ev.dev_v(n), n.bit_length() - 1
+        prefix = prefix_sums[n >> 1]
+        nums = _numerators_over(3 << m, (value,))
+        if nums is not None and prefix is not None:
+            total = nums[0] + 2 * prefix
+            if nums[0] + total == n.bit_count() << (m + 1):
+                prefix_sums[n] = total
+                continue
         bad = violation(n)
         if bad:
             return checked, bad
-    for n in _random_args(config, "P2C"):
-        checked += 1
-        bad = violation(n)
-        if bad:
-            return checked, bad
-    return checked, None
+    return _first_failure(violation, _random_args(config, "P2C"), checked)
 
 
 def _check_p2d(config, ev):
     """Complement symmetry: v(n) + v(hat(n)) = 2/3."""
-    target = Fraction(2, 3)
-    checked = 0
-    for n in range(1, config.max_n + 1):
-        checked += 1
-        total = ev.dev_v(n) + ev.dev_v(hat(n))
-        if total != target:
-            return checked, _ce(target, total, n=n)
-    for n in _random_args(config, "P2D"):
-        checked += 1
-        total = ev.dev_v(n) + ev.dev_v(hat(n))
-        if total != target:
-            return checked, _ce(target, total, n=n)
-    return checked, None
+
+    def violation(n: int):
+        left, right = ev.dev_v(n), ev.dev_v(hat(n))
+        a, b = left.as_integer_ratio()
+        c, d = right.as_integer_ratio()
+        if 3 * (a * d + c * b) != 2 * b * d:
+            return _ce(Fraction(2, 3), left + right, n=n)
+        return None
+
+    return _first_failure(violation, _scan_then_random(config, "P2D"))
 
 
 def _check_p6b(config, ev):
     """Reflection symmetry: g(n) = g(tilde(n))."""
-    checked = 0
-    for n in range(1, config.max_n + 1):
-        checked += 1
+
+    def violation(n: int):
         left, right = ev.dev_g(n), ev.dev_g(tilde(n))
-        if left != right:
-            return checked, _ce(right, left, n=n)
-    for n in _random_args(config, "P6B"):
-        checked += 1
-        left, right = ev.dev_g(n), ev.dev_g(tilde(n))
-        if left != right:
-            return checked, _ce(right, left, n=n)
-    return checked, None
+        a, b = left.as_integer_ratio()
+        c, d = right.as_integer_ratio()
+        if a * d != c * b:
+            return _ce(right, left, n=n)
+        return None
+
+    return _first_failure(violation, _scan_then_random(config, "P6B"))
 
 
 def _check_eql21(config, ev):
     """Two-step rules: g(4n), g(4n+1), g(4n+2), g(4n+3) from g(n), v(n).
 
     g(n) and v(n) live over 3 * 2**m, m = floor_lg(n), and g(4n + r) over
-    3 * 2**(m+2), so each comparison is one of integers over the latter.
-    A value outside its denominator (from a corrupted evaluator) or a
-    mismatch re-runs that comparison in exact Fraction arithmetic, which
-    alone produces the report.
+    3 * 2**(m+2), so all six values are brought over the latter and the
+    four rules compared as integers.  A value outside it (from a
+    corrupted evaluator) or a mismatch re-runs the comparisons in exact
+    Fraction arithmetic, which alone produces the report.
     """
 
     def violation(n: int):
         g, v = ev.dev_g(n), ev.dev_v(n)
+        actuals = [ev.dev_g(4 * n + residue) for residue in range(4)]
         m = max(n.bit_length() - 1, 0)  # n = 0 fits the n = 1 denominators
-        nums = _numerators_over(3 << m, (g, v))
-        expect_nums = None
-        if nums is not None:  # over 3 * 2**(m+2): 1/6 is 2**(m+1)
+        nums = _numerators_over(12 << m, (g, v, *actuals))
+        if nums is not None:  # four times each rule over 12 * 2**m: 4/6 is 2**(m+3)
             g4, v_num = 4 * nums[0], nums[1]
-            expect_nums = (g4 + 3 * v_num, g4 + 2 * v_num, g4 + (2 << m) + v_num, g4)
-        for residue in range(4):
-            actual = ev.dev_g(4 * n + residue)
-            scaled = _numerators_over(12 << m, (actual,))
-            if expect_nums and scaled == [expect_nums[residue]]:
-                continue
+            expect = [g4 + 3 * v_num, g4 + 2 * v_num, g4 + (8 << m) + v_num, g4]
+            if [4 * num for num in nums[2:]] == expect:
+                return None
+        for residue, actual in enumerate(actuals):
             expect = (
                 g + Fraction(3, 4) * v,
                 g + v / 2,
@@ -444,23 +477,19 @@ def _check_eql21(config, ev):
                 return _ce(expect, actual, n=n, residue=residue)
         return None
 
-    checked = 0
-    for n in range(0, config.max_n + 1):
-        checked += 1
-        bad = violation(n)
-        if bad:
-            return checked, bad
-    for n in _random_args(config, "EQL21"):
-        checked += 1
-        bad = violation(n)
-        if bad:
-            return checked, bad
-    return checked, None
+    return _first_failure(violation, _scan_then_random(config, "EQL21", first=0))
 
 
 def _check_l2(config, ev):
     """The two skeleton-offset difference identities, all p >= 0, r >= 0."""
     third = Fraction(1, 3)
+
+    def gap(a: int, b: int) -> tuple[int, int]:
+        """g(a) - g(b) as an unreduced numerator and denominator."""
+        c, d = ev.dev_g(a).as_integer_ratio()
+        e, f = ev.dev_g(b).as_integer_ratio()
+        return c * f - e * d, d * f
+
     checked = 0
     for r in range(0, config.max_r + 1):
         pair = extremal.skeleton(r)
@@ -469,15 +498,21 @@ def _check_l2(config, ev):
         for p in range(0, config.max_p + 1):
             checked += 1
             vp = ev.dev_v(p)
+            s, t = vp.as_integer_ratio()
+            # each identity with both sides times 9t * 2**k * den, v(p) = s/t
             base = p << (2 * r + 2)
-            left = ev.dev_g(base + x_next) - ev.dev_g(base + y_r)
-            right = (1 + Fraction(1, 1 << (2 * r + 1))) * (third - vp) / 3
-            if left != right:
+            num, den = gap(base + x_next, base + y_r)
+            k = 2 * r + 1
+            if (9 * t * num) << k != ((1 << k) + 1) * (t - 3 * s) * den:
+                left = ev.dev_g(base + x_next) - ev.dev_g(base + y_r)
+                right = (1 + Fraction(1, 1 << (2 * r + 1))) * (third - vp) / 3
                 return checked, _ce(right, left, p=p, r=r, identity="even-shift")
             base = p << (2 * r + 1)
-            left = ev.dev_g(base + x_r) - ev.dev_g(base + y_r)
-            right = (1 - Fraction(1, 1 << (2 * r))) * (vp - third) / 3
-            if left != right:
+            num, den = gap(base + x_r, base + y_r)
+            k = 2 * r
+            if (9 * t * num) << k != ((1 << k) - 1) * (3 * s - t) * den:
+                left = ev.dev_g(base + x_r) - ev.dev_g(base + y_r)
+                right = (1 - Fraction(1, 1 << (2 * r))) * (vp - third) / 3
                 return checked, _ce(right, left, p=p, r=r, identity="odd-shift")
     return checked, None
 
@@ -501,7 +536,9 @@ def _check_cor6(config, ev):
                 (odd_base + (1 << (2 * r)) + x_r, odd_base + y_r),
             )
             for smaller, larger in pairs:
-                if not ev.dev_g(smaller) < ev.dev_g(larger):
+                a, b = ev.dev_g(smaller).as_integer_ratio()
+                c, d = ev.dev_g(larger).as_integer_ratio()
+                if not a * d < c * b:
                     return checked, _ce(
                         f"g({smaller}) < g({larger})",
                         f"{_fmt(ev.dev_g(smaller))} vs {_fmt(ev.dev_g(larger))}",
@@ -555,7 +592,9 @@ def _check_cor8(config, ev):
         value = ev.dev_g(n)
         bound = extremal.theta(n)
         m = n.bit_length() - 1
-        if not (0 <= value <= bound and 18 * bound <= 2 * m + 1):
+        p, q = value.as_integer_ratio()
+        t, s = bound.as_integer_ratio()
+        if not (0 <= p and p * s <= t * q and 18 * t <= (2 * m + 1) * s):
             return checked, _ce(
                 f"0 <= g <= {_fmt(bound)} <= {_fmt(Fraction(2 * m + 1, 18))}",
                 value,
@@ -611,8 +650,9 @@ def _check_cor10(config, ev):
     checked = 0
     for n in range(1, config.max_n + 1):
         checked += 1
-        attains = ev.dev_g(n) == extremal.theta(n)
-        if attains != (n in members):
+        p, q = ev.dev_g(n).as_integer_ratio()
+        t, s = extremal.theta(n).as_integer_ratio()
+        if (p * s == t * q) != (n in members):
             return checked, _ce(
                 "g = theta_n exactly on the rounded families", ev.dev_g(n), n=n
             )
@@ -624,34 +664,33 @@ def _check_eq4(config, ev):
 
     The fast sums share one kernel, so the identity alone holds by
     algebra; G and U are also held against their envelopes minus the
-    deviations, which come from independent evaluators.
+    deviations, which come from independent evaluators.  All five values
+    are compared as integers over 3 * 2**m, m = floor_lg(n); a value
+    outside it or a mismatch re-runs them in exact Fraction arithmetic.
     """
 
     def violation(n: int):
-        g, u = ev.sum_g(n), ev.sum_u(n)
-        right = (n + 1) * ev.sum_v(n) - u
+        g, u, v = ev.sum_g(n), ev.sum_u(n), ev.sum_v(n)
+        dev_g, dev_u = ev.dev_g(n), ev.dev_u(n)
+        m = n.bit_length() - 1
+        nums = _numerators_over(3 << m, (g, u, v, dev_g, dev_u))
+        if nums is not None:
+            g_num, u_num, v_num, g_dev, u_dev = nums
+            identity, envelope = (n + 1) * v_num - u_num, (n * (n + 2) << m) - g_dev
+            if g_num == identity == envelope and u_num == ((n * n + n) << m) - u_dev:
+                return None
+        right = (n + 1) * v - u
         if g != right:
             return _ce(right, g, n=n)
-        from_dev = Fraction(n * (n + 2), 3) - ev.dev_g(n)
+        from_dev = Fraction(n * (n + 2), 3) - dev_g
         if g != from_dev:
             return _ce(from_dev, g, n=n, function="G")
-        from_dev = Fraction(n * n + n, 3) - ev.dev_u(n)
+        from_dev = Fraction(n * n + n, 3) - dev_u
         if u != from_dev:
             return _ce(from_dev, u, n=n, function="U")
         return None
 
-    checked = 0
-    for n in range(1, config.max_n + 1):
-        checked += 1
-        bad = violation(n)
-        if bad:
-            return checked, bad
-    for n in _random_args(config, "EQ4_IDENTITY"):
-        checked += 1
-        bad = violation(n)
-        if bad:
-            return checked, bad
-    return checked, None
+    return _first_failure(violation, _scan_then_random(config, "EQ4_IDENTITY"))
 
 
 def _check_oracle(config, ev):

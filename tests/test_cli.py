@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -322,6 +323,49 @@ def test_eval_lambda_m_over_cap_exits_3(capsys):
     code, _, err = run(capsys, "eval", "lambda_m", past_cap, "--decimal", "10")
     assert code == 3 and "LAMBDA_M_CAP" in err
     assert lambda_m(LAMBDA_M_CAP).denominator.bit_length() > LAMBDA_M_CAP
+
+
+def test_extremal_over_lambda_m_cap_exits_3_at_once(capsys):
+    for m in ("0b" + "1" * 24, str(LAMBDA_M_CAP + 1)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extremal", m)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert str(LAMBDA_M_CAP) in err and "LAMBDA_M_CAP" in err
+
+
+@needs_digit_limit
+def test_extremal_points_over_digit_limit_exit_3(capsys):
+    # 2**(m+1) - 1, the widest point, has one digit too many (m = 14284 at
+    # the default limit); --decimal cannot help, the points are integers
+    m = (10**DIGIT_LIMIT).bit_length() - 1
+    for extra in ((), ("--decimal", "5"), ("--format", "json", "--decimal", "5"),
+                  ("--format", "csv", "--decimal", "5")):  # fmt: skip
+        for block in (m, 2 * m):
+            code, out, err = run(capsys, "extremal", str(block), *extra)
+            assert_digit_limit_exit(code, out, err, "PYTHONINTMAXSTRDIGITS")
+            assert "extremal point" in err and "-X int_max_str_digits" in err
+    # one block down every point fits
+    code, out, _ = run(capsys, "extremal", str(m - 1), "--decimal", "5")
+    top = significant(lambda_m(m - 1), 5)
+    assert code == 0 and out.startswith(f"min 0 at {(1 << m) - 1}; max {top} at ")
+
+
+def test_decimal_digits_over_cap_exit_3_before_any_work(capsys, monkeypatch):
+    cap = cli.DECIMAL_DIGITS_CAP
+    code, out, _ = run(capsys, "eval", "v", "13", "--decimal", str(cap))
+    assert code == 0 and out == "0." + "4583" + "3" * (cap - 4) + "\n"  # 11/24
+    monkeypatch.setitem(
+        cli.EVAL_FUNCTIONS, "v", lambda n: pytest.fail("evaluated past the cap")
+    )
+    for argv in (
+        ("eval", "v", "13", "--decimal", str(cap + 1)),
+        ("eval", "v", "13", "--decimal", "1000000000000"),
+        ("table", "v", "1", "4", "--format", "csv", "--decimal", str(cap + 1)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert str(cap) in err and "DECIMAL_DIGITS_CAP" in err
 
 
 # --decimal N: integer rendering against the Decimal division it replaces

@@ -252,3 +252,163 @@ def test_values_just_off_the_common_denominator_are_not_rounded_onto_it():
     assert report.line() == (
         "EQL21 fail checked=4 n=3 residue=3 expected=0 actual=1/1099511627776"
     )
+
+
+# Fault injection for the checkers that decide on cross-multiplied integers.
+# Each corruption hits one argument, or a smallest one and a later one, and
+# the expected line is the report of the exact Fraction predicates these
+# checkers used before: +1 keeps a value over its dyadic denominator, +1/7
+# takes it off, other offsets land it on a bound, and float- and int-valued
+# corruptions change its type.
+
+
+def shifted(at, delta):
+    return lambda fn: lambda n: fn(n) + delta if n in at else fn(n)
+
+
+def as_float(fn):
+    return lambda n: float(fn(n))
+
+
+SEVENTH = Fraction(1, 7)
+FAULTS = [
+    ("P1B", "sum_v", shifted((5, 15), 1),
+     "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=19/4"),
+    ("P1B", "sum_v", shifted((31, 93), SEVENTH),
+     "P1B fail checked=31 n=31 expected=strictly between 62/3 and 64/3"
+     " actual=2403/112"),
+    # an int value prints as the float 3 * V / 3, as it always has
+    ("P1B", "sum_v", lambda fn: lambda n: int(fn(n)) if n in (5, 15) else fn(n),
+     "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=3.0"),
+    # V(5) = 15/4 moved onto either bound
+    ("P1B", "sum_v", shifted((5, 15), Fraction(1, 4)),
+     "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=4"),
+    ("P1B", "sum_v", shifted((5, 15), -Fraction(5, 12)),
+     "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=10/3"),
+    ("COR3", "dev_v", shifted((21, 63), 1),
+     "COR3 fail checked=10 n=21 expected=in (1/3, 2/3) actual=23/16"),
+    ("COR3", "dev_v", shifted((54, 70), SEVENTH),
+     "COR3 fail checked=27 n=54 expected=in (0, 1/3) actual=95/224"),
+    ("COR3", "dev_v", shifted((5, 15), -SEVENTH),
+     "COR3 fail checked=2 n=5 expected=in (1/3, 2/3) actual=23/84"),
+    # v(5) = 5/12 and v(10) = 5/24 moved onto the open ends
+    ("COR3", "dev_v", shifted((5, 15), Fraction(1, 4)),
+     "COR3 fail checked=2 n=5 expected=in (1/3, 2/3) actual=2/3"),
+    ("COR3", "dev_v", shifted((10, 30), Fraction(1, 8)),
+     "COR3 fail checked=5 n=10 expected=in (0, 1/3) actual=1/3"),
+    ("COR4", "dev_v", shifted((21, 63), 1),
+     "COR4 fail checked=21 n=21 expected=in [1/48, 641/1008] actual=23/16"),
+    ("COR4", "dev_v", shifted((5, 15), SEVENTH),
+     "COR4 fail checked=5 n=5 expected=in [1/12, 11/20] actual=47/84"),
+    ("COR4", "dev_v", shifted((16, 48), SEVENTH),
+     "COR4 fail checked=16 n=16 expected=1/48 exactly iff n = 2^m actual=55/336"),
+    ("COR4", "dev_v", shifted((31, 93), -SEVENTH),
+     "COR4 fail checked=31 n=31 expected=31/48 exactly iff n = 2^(m+1)-1"
+     " actual=169/336"),
+    # v(5) = 5/12 moved onto the lower bound, which only powers of two reach
+    ("COR4", "dev_v", shifted((5, 15), -Fraction(1, 3)),
+     "COR4 fail checked=5 n=5 expected=1/12 exactly iff n = 2^m actual=1/12"),
+    ("COR4", "dev_v", as_float,
+     "COR4 fail checked=1 n=1 expected=in [1/3, 1/3] actual=0.3333333333333333"),
+    ("P4B", "sum_g", shifted((5, 15), 1),
+     "P4B fail checked=5 n=5 expected=<= 35/3 actual=25/2"),
+    ("P4B", "sum_g", shifted((5, 15), -1),
+     "P4B fail checked=5 n=5 expected=>= 45/4 actual=21/2"),
+    ("P4B", "sum_g", shifted((31, 93), SEVENTH),
+     "P4B fail checked=31 n=31 expected=<= 341 actual=2388/7"),
+    ("P5C", "dev_g", shifted((5, 15), 1),
+     "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"),
+    ("P5C", "dev_g", shifted((31, 93), -SEVENTH),
+     "P5C fail checked=31 n=31 expected=in [0, 4/3] actual=-1/7"),
+    ("COR5", "dev_g", shifted((31, 63), 1),
+     "COR5 fail checked=31 n=31 expected=0 exactly iff n = 2^r - 1 actual=1"),
+    ("COR5", "dev_g", shifted((31, 93), SEVENTH),
+     "COR5 fail checked=31 n=31 expected=0 exactly iff n = 2^r - 1 actual=1/7"),
+    ("COR5", "dev_g", lambda fn: lambda n: 0 if n in (6, 9) else fn(n),
+     "COR5 fail checked=6 n=6 expected=0 exactly iff n = 2^r - 1 actual=0"),
+    ("P2D", "dev_v", shifted((5, 15), 1),
+     "P2D fail checked=5 n=5 expected=2/3 actual=5/3"),
+    ("P2D", "dev_v", shifted((21, 63), SEVENTH),
+     "P2D fail checked=21 n=21 expected=2/3 actual=17/21"),
+    ("P2D", "dev_v", as_float,
+     "P2D fail checked=1 n=1 expected=2/3 actual=0.6666666666666666"),
+    ("COR6", "dev_g", shifted((54,), 1),
+     "COR6 fail checked=6 p=6 r=1 expected=g(54) < g(52) actual=49/32 vs 19/32"),
+    ("COR6", "dev_g", shifted((54,), SEVENTH),
+     "COR6 fail checked=6 p=6 r=1 expected=g(54) < g(52) actual=151/224 vs 19/32"),
+    ("COR6", "dev_g", shifted((54,), Fraction(1, 16)),
+     "COR6 fail checked=6 p=6 r=1 expected=g(54) < g(52) actual=19/32 vs 19/32"),
+    ("L2", "dev_g", shifted((54,), 1),
+     "L2 fail checked=14 p=13 r=0 identity=even-shift expected=-1/16 actual=15/16"),
+    ("L2", "dev_g", shifted((54,), SEVENTH),
+     "L2 fail checked=14 p=13 r=0 identity=even-shift expected=-1/16 actual=9/112"),
+    # 76 = 8 * 9 + y_1 enters no earlier identity
+    ("L2", "dev_g", shifted((76,), 1),
+     "L2 fail checked=27 p=9 r=1 identity=odd-shift expected=1/96 actual=-95/96"),
+    ("L2", "dev_v", shifted((5,), 1),
+     "L2 fail checked=6 p=5 r=0 identity=even-shift expected=-13/24 actual=-1/24"),
+    ("L2", "dev_v", shifted((5,), SEVENTH),
+     "L2 fail checked=6 p=5 r=0 identity=even-shift expected=-19/168 actual=-1/24"),
+    ("COR8", "dev_g", shifted((21, 63), 1),
+     "COR8 fail checked=21 n=21 expected=0 <= g <= 23/48 <= 1/2 actual=11/8"),
+    ("COR8", "dev_g", shifted((5, 15), SEVENTH),
+     "COR8 fail checked=5 n=5 expected=0 <= g <= 1/4 <= 5/18 actual=13/42"),
+    # 20 is in the equality set, 5 is not: g(5) + 1/12 = theta_5 = 1/4
+    ("COR10", "dev_g", shifted((20, 60), 1),
+     "COR10 fail checked=20 n=20 expected=g = theta_n exactly on the rounded"
+     " families actual=71/48"),
+    ("COR10", "dev_g", shifted((20, 60), SEVENTH),
+     "COR10 fail checked=20 n=20 expected=g = theta_n exactly on the rounded"
+     " families actual=209/336"),
+    ("COR10", "dev_g", shifted((5, 15), Fraction(1, 12)),
+     "COR10 fail checked=5 n=5 expected=g = theta_n exactly on the rounded"
+     " families actual=1/4"),
+    # 12..15 are g(4n + r) at n = 3, which starts the fourth EQL21 step
+    ("EQL21", "dev_g", shifted((12,), 1),
+     "EQL21 fail checked=4 n=3 residue=0 expected=3/8 actual=11/8"),
+    ("EQL21", "dev_g", shifted((14,), 1),
+     "EQL21 fail checked=4 n=3 residue=2 expected=7/24 actual=31/24"),
+    ("EQL21", "dev_g", shifted((15,), 1),
+     "EQL21 fail checked=4 n=3 residue=3 expected=0 actual=1"),
+    ("EQL21", "dev_v", shifted((3,), 1),
+     "EQL21 fail checked=4 n=3 residue=0 expected=9/8 actual=3/8"),
+    ("EQL21", "dev_v", shifted((3,), SEVENTH),
+     "EQL21 fail checked=4 n=3 residue=0 expected=27/56 actual=3/8"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("theorem, field, corrupt, line", FAULTS)
+def test_corrupted_evaluator_fails_at_smallest_corrupted_argument(
+    theorem, field, corrupt, line
+):
+    default = Evaluators()
+    ev = dataclasses.replace(default, **{field: corrupt(getattr(default, field))})
+    assert check(theorem, SMOKE, ev).line() == line
+
+
+@pytest.mark.parametrize(
+    "at, delta, line",
+    [
+        # v(5) is a prefix of 10, 11, 20, ...: the scan must still stop at 5
+        (5, 1, "P2C fail checked=5 n=5 expected=4/3 actual=10/3"),
+        (10, SEVENTH, "P2C fail checked=10 n=10 expected=4/3 actual=34/21"),
+    ],
+)
+def test_corrupted_dev_v_fails_p2c_at_its_argument(at, delta, line):
+    ev = dataclasses.replace(Evaluators(), dev_v=shifted((at,), delta)(dev_v))
+    assert check("P2C", SMOKE, ev).line() == line
+
+
+def test_p2c_scan_evaluates_v_once_per_n():
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return dev_v(n)
+
+    report = check("P2C", SMOKE, dataclasses.replace(Evaluators(), dev_v=counted))
+    assert report.status == "pass"
+    # the random trials still evaluate every prefix, v(n) itself twice
+    trial_calls = SMOKE.random_big_trials * (SMOKE.random_bits + 1)
+    assert calls[: SMOKE.max_n] == list(range(1, SMOKE.max_n + 1))
+    assert len(calls) == SMOKE.max_n + trial_calls
