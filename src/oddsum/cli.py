@@ -216,13 +216,8 @@ def _cmd_verify(args) -> int:
         if args.format == "json":
             print(json.dumps(report.record()))
         elif args.format == "csv":
-            detail = ""
-            if report.counterexample is not None:
-                ce = report.counterexample
-                detail = " ".join(
-                    [f"{k}={v}" for k, v in ce.inputs]
-                    + [f"expected={ce.expected}", f"actual={ce.actual}"]
-                )
+            ce = report.counterexample
+            detail = ce.detail() if ce is not None else ""
             writer.writerow([report.theorem, report.status, report.checked_count, detail])
         else:
             print(report.line())

@@ -368,6 +368,29 @@ def test_decimal_digits_over_cap_exit_3_before_any_work(capsys, monkeypatch):
         assert str(cap) in err and "DECIMAL_DIGITS_CAP" in err
 
 
+@pytest.mark.parametrize(
+    "argv, cap, flag",
+    [
+        (("P1B", "--max-n", "1000000000"), "MAX_N_CAP", "--max-n"),
+        (("P2D", "--bits", "100000000", "--trials", "1"), "TRIAL_WORK_CAP", "--bits"),
+        (("P2D", "--trials", "1000000000", "--max-n", "1"), "TRIAL_WORK_CAP", "--trials"),
+        (("P10", "--max-m", "30"), "MAX_M_CAP", "--max-m"),
+        (("L2", "--max-r", "100000", "--max-p", "1"), "MAX_R_CAP", "--max-r"),
+        (("COR6", "--max-r", "64", "--max-p", "1000", "--format", "csv"),
+         "GRID_CELLS_CAP", "--max-p"),
+        # wider in decimal than the int/str digit limit: not echoed
+        (("P1B", "--max-n", "0b1" + "0" * 15000), "MAX_N_CAP", "--max-n"),
+    ],
+)  # fmt: skip
+def test_verify_range_over_cap_exits_3_at_once(capsys, argv, cap, flag):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""  # no csv header either
+    assert f"oddsum.verify.{cap}" in err and flag in err
+    assert "Traceback" not in err
+
+
 # --decimal N: integer rendering against the Decimal division it replaces
 
 # up to 20000 bits: at 5000 digits only operands past 16667 bits take the

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oddsum import deviations, extremal
 from oddsum.deviations import dev_g, dev_u, dev_v
 from oddsum.sums import u_fast, v_fast
 from oddsum.verify import (
@@ -374,6 +375,32 @@ FAULTS = [
      "EQL21 fail checked=4 n=3 residue=0 expected=9/8 actual=3/8"),
     ("EQL21", "dev_v", shifted((3,), SEVENTH),
      "EQL21 fail checked=4 n=3 residue=0 expected=27/56 actual=3/8"),
+    ("T5", "sum_v", shifted((5, 15), 1),
+     "T5 fail checked=5 n=5 expected=<= 35/9 actual=19/4"),
+    ("T5", "sum_v", shifted((5, 15), -1),
+     "T5 fail checked=5 n=5 expected=>= 17/5 actual=11/4"),
+    # V(8) is the lower bound, V(7) the upper one: both moved off
+    ("T5", "sum_v", shifted((8, 24), SEVENTH),
+     "T5 fail checked=8 n=8 expected=lower equality iff n = 2^m actual=309/56"),
+    ("T5", "sum_v", shifted((7,), -Fraction(1, 8)),
+     "T5 fail checked=7 n=7 expected=upper equality iff n = 2^m - 1 actual=41/8"),
+    ("L1", "h", shifted((6, 12), 3),
+     "L1 fail checked=6 n=6 expected=in [0, 5] actual=6"),
+    ("L1", "h", shifted((7,), 1),
+     "L1 fail checked=7 n=7 expected=0 exactly iff n = 2^(m+1)-1 actual=1"),
+    ("L1", "h", shifted((8,), -1),
+     "L1 fail checked=8 n=8 expected=7 exactly iff n = 2^m actual=6"),
+    ("P6B", "dev_g", shifted((9,), 1),
+     "P6B fail checked=9 n=9 expected=1/4 actual=5/4"),
+    # 12 = tilde(10): the scan meets the pair at n = 10
+    ("P6B", "dev_g", shifted((12,), SEVENTH),
+     "P6B fail checked=10 n=10 expected=29/56 actual=3/8"),
+    ("ORACLE_UVG", "sum_v", shifted((5,), 1),
+     "ORACLE_UVG fail checked=5 n=5 function=V expected=15/4 actual=19/4"),
+    ("ORACLE_UVG", "sum_u", shifted((6,), 1),
+     "ORACLE_UVG fail checked=6 n=6 function=U expected=14 actual=15"),
+    ("ORACLE_UVG", "sum_g", shifted((9,), SEVENTH),
+     "ORACLE_UVG fail checked=9 n=9 function=G expected=131/4 actual=921/28"),
 ]  # fmt: skip
 
 
@@ -384,6 +411,39 @@ def test_corrupted_evaluator_fails_at_smallest_corrupted_argument(
     default = Evaluators()
     ev = dataclasses.replace(default, **{field: corrupt(getattr(default, field))})
     assert check(theorem, SMOKE, ev).line() == line
+
+
+# The extremal functions that T3, COR7 and P10 hold against an oracle,
+# corrupted where the checker calls them: T3 in its block scan and in its
+# closed-form phase, COR7 and P10 in their m range.
+def misplaced_maximum(fn):
+    """argmax_g with the maximum of I_2, at 4 and 6, reported at 5."""
+    return lambda m: dataclasses.replace(fn(m), max_points=(5,)) if m == 2 else fn(m)
+
+
+EXTREMAL_FAULTS = [
+    ("T3", "lambda_block",
+     lambda fn: lambda n, m: fn(n, m) + ((n, m) == (1, 3)),
+     "T3 fail checked=3 n=1 m=3 expected=3/8 actual=11/8"),
+    # SMOKE's max_m of 5 keeps m = 7 out of the block scan: 64 * 5 + 7
+    ("T3", "lambda_block",
+     lambda fn: lambda n, m: fn(n, m) + ((n, m) == (1, 7)),
+     "T3 fail checked=327 m=7 expected=313/384 actual=697/384"),
+    ("COR7", "lambda_m",
+     lambda fn: lambda m: fn(m) + (SEVENTH if m == 3 else 0),
+     "COR7 fail checked=4 m=3 expected=29/56 actual=3/8"),
+    ("P10", "argmax_g", misplaced_maximum,
+     "P10 fail checked=3 m=2 expected=max 1/4 at 5, min 0 at 7"
+     " actual=max 1/4 at 4,6, min 0 at 7"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("theorem, name, corrupt, line", EXTREMAL_FAULTS)
+def test_corrupted_extremal_function_fails_at_its_argument(
+    monkeypatch, theorem, name, corrupt, line
+):
+    monkeypatch.setattr(extremal, name, corrupt(getattr(extremal, name)))
+    assert check(theorem, SMOKE).line() == line
 
 
 @pytest.mark.parametrize(
@@ -412,3 +472,22 @@ def test_p2c_scan_evaluates_v_once_per_n():
     trial_calls = SMOKE.random_big_trials * (SMOKE.random_bits + 1)
     assert calls[: SMOKE.max_n] == list(range(1, SMOKE.max_n + 1))
     assert len(calls) == SMOKE.max_n + trial_calls
+
+
+def test_eq4_trials_reach_the_split_in_h(monkeypatch):
+    # u(n) reads h(n >> 1), which splits only past _H_BASE_BITS digits:
+    # a mutant that drops the cross term of the split passes at 256 bits
+    # unless some trials are wider
+    real = deviations._h_low
+
+    def mutant(n, k):
+        if k <= deviations._H_BASE_BITS:
+            return real(n, k)
+        low_k = k >> 1
+        return mutant(n >> low_k, k - low_k) + mutant(n & ((1 << low_k) - 1), low_k)
+
+    monkeypatch.setattr(deviations, "_h_low", mutant)
+    config = dataclasses.replace(SMOKE, random_bits=RangeConfig.random_bits)
+    report = check("EQ4_IDENTITY", config)
+    assert report.status == "fail"
+    assert report.checked_count > config.max_n
