@@ -9,6 +9,9 @@
 
 Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
+One emitter writes every format: csv is a header line, then a line per
+row; json is an object per line, or one array for table and scan.  Rows
+stream out as they are computed.
 --decimal N costs about one integer division at the value's width and
 prints what Decimal division at precision N prints; N beyond
 DECIMAL_DIGITS_CAP exits 3 before any work.  main() builds its
@@ -26,8 +29,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
+from dataclasses import asdict
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -45,7 +50,7 @@ from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
 from .extremal import LAMBDA_M_CAP, argmax_g, lambda_m, scan_g_below, theta
 from .sums import alpha, g_fast, u_fast, v_fast
 
-__all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
+__all__ = ["DECIMAL_DIGITS_CAP", "TABLE_CELLS_CAP", "main", "parse_nat"]
 
 # --decimal N refuses a larger N.  N costs mostly the memory of its
 # output, about 2.3 bytes a digit: `eval v 13` peaks at 19 MB for 10**6
@@ -68,6 +73,13 @@ EVAL_FUNCTIONS = {
     "tilde": tilde,
     "lambda_m": lambda_m,
 }
+
+# table refuses more cells (rows x functions): the most a table of
+# distinct functions could ask for under the row cap
+TABLE_CELLS_CAP = len(EVAL_FUNCTIONS) * (sums.DEFAULT_BRUTE_CAP + 1)
+
+# a json array goes out this many items at a time, in bounded memory
+_JSON_CHUNK = 4096
 
 # 12 significant digits of (2/3) ln 2, the one irrational limit on offer
 _IRRATIONAL_LIMITS = {"inv1px": "0.462098120373"}
@@ -169,23 +181,37 @@ _ECHO_REMEDY = (
 )
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(args, columns, rows, lines, items=None) -> None:
+    """Print one command's output in args.format; no other code reads it.
+
+    csv: the header `columns`, then `rows`.  plain: `lines`.  json:
+    `items`, each row as an object over `columns` unless given; one
+    array for table and scan, else one object per line.  rows, lines
+    and items may be lazy views of one computation: only one is read.
+    """
+    if items is None:
+        items = (dict(zip(columns, row)) for row in rows)
+    if args.format == "plain":
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    elif args.command not in ("table", "scan"):
+        sys.stdout.writelines(json.dumps(item) + "\n" for item in items)
+    else:  # the bytes of json.dumps(list(items)), one chunk at a time
+        items, opening = iter(items), "["
+        while chunk := list(itertools.islice(items, _JSON_CHUNK)):
+            sys.stdout.write(opening + json.dumps(chunk)[1:-1])
+            opening = ", "
+        sys.stdout.write("[]\n" if opening == "[" else "]\n")
 
 
 def _cmd_eval(args) -> int:
     if args.format != "plain":
         _check_printable(args.n, _ECHO_REMEDY)
-    value = EVAL_FUNCTIONS[args.function](args.n)
-    rendered = _render(value, args.decimal)
-    if args.format == "json":
-        print(json.dumps({"function": args.function, "n": args.n, "value": rendered}))
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["function", "n", "value"])
-        writer.writerow([args.function, args.n, rendered])
-    else:
-        print(rendered)
+    value = _render(EVAL_FUNCTIONS[args.function](args.n), args.decimal)
+    _emit(args, ("function", "n", "value"), [(args.function, args.n, value)], [value])
     return 0
 
 
@@ -196,33 +222,30 @@ def _cmd_verify(args) -> int:
             f" valid ids: {', '.join(verify.THEOREM_IDS)} or 'all'"
         )
     config = verify.RangeConfig(
-        max_n=args.max_n,
-        max_m=args.max_m,
-        max_r=args.max_r,
-        max_p=args.max_p,
-        random_big_trials=args.trials,
-        random_bits=args.bits,
-        seed=args.seed,
-    )
-    ids = verify.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-    writer = None
-    if args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["theorem", "status", "checked", "counterexample"])
-    all_pass = True
-    for theorem in ids:
-        report = verify.check(theorem, config)
-        all_pass = all_pass and report.status == "pass"
-        if args.format == "json":
-            print(json.dumps(report.record()))
-        elif args.format == "csv":
-            ce = report.counterexample
-            detail = ce.detail() if ce is not None else ""
-            writer.writerow([report.theorem, report.status, report.checked_count, detail])
-        else:
-            print(report.line())
-        sys.stdout.flush()
-    return 0 if all_pass else 1
+        max_n=args.max_n, max_m=args.max_m, max_r=args.max_r, max_p=args.max_p,
+        random_big_trials=args.trials, random_bits=args.bits, seed=args.seed,
+    )  # fmt: skip
+    done = []
+
+    def check(theorem):
+        sys.stdout.flush()  # the reports so far show while this checker runs
+        done.append(verify.check(theorem, config))
+        return done[-1]
+
+    ids = verify.THEOREM_IDS if args.theorem == "all" else [args.theorem]
+    reports = map(check, ids)
+    _emit(
+        args,
+        ("theorem", "status", "checked", "counterexample"),
+        (
+            (r.theorem, r.status, r.checked_count,
+             r.counterexample.detail() if r.counterexample is not None else "")
+            for r in reports
+        ),
+        (r.line() for r in reports),
+        (r.record() for r in reports),
+    )  # fmt: skip
+    return 0 if all(r.status == "pass" for r in done) else 1
 
 
 def _cmd_extremal(args) -> int:
@@ -236,79 +259,29 @@ def _cmd_extremal(args) -> int:
             what="the largest extremal point",
         )
     report = argmax_g(args.m)
-    min_value = _render(report.min_value, args.decimal)
-    max_value = _render(report.max_value, args.decimal)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "m": report.m,
-                    "min_value": min_value,
-                    "min_points": list(report.min_points),
-                    "max_value": max_value,
-                    "max_points": list(report.max_points),
-                    "degenerate": report.degenerate,
-                }
-            )
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(
-            ["m", "min_value", "min_points", "max_value", "max_points", "degenerate"]
-        )
-        writer.writerow(
-            [
-                report.m,
-                min_value,
-                ";".join(map(str, report.min_points)),
-                max_value,
-                ";".join(map(str, report.max_points)),
-                report.degenerate,
-            ]
-        )
-    else:
-        min_at = ",".join(map(str, report.min_points))
-        max_at = ",".join(map(str, report.max_points))
-        print(f"min {min_value} at {min_at}; max {max_value} at {max_at}")
+    low, high = (_render(v, args.decimal) for v in (report.min_value, report.max_value))
+    record = asdict(report) | {"min_value": low, "max_value": high}
+    at = [",".join(map(str, p)) for p in (report.min_points, report.max_points)]
+    row = (report.m, low, at[0].replace(",", ";"), high, at[1].replace(",", ";"))
+    line = f"min {low} at {at[0]}; max {high} at {at[1]}"
+    _emit(args, tuple(record), [row + (report.degenerate,)], [line], [record])
     return 0
 
 
 def _cmd_scan(args) -> int:
-    matches = scan_g_below(args.threshold, args.bound)
-    if args.format == "json":
-        print(json.dumps(matches))
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["n"])
-        for n in matches:
-            writer.writerow([n])
-    else:
-        print(" ".join(map(str, matches)))
+    found = scan_g_below(args.threshold, args.bound)
+    _emit(args, ("n",), ((n,) for n in found), [" ".join(map(str, found))], found)
     return 0
 
 
 def _cmd_cesaro(args) -> int:
     if args.format != "plain":
         _check_printable(args.n, _ECHO_REMEDY)
-    mean = sums.cesaro_mean(args.function, args.n)
-    exact_limit = sums.cesaro_limit(args.function)
-    if exact_limit is not None:
-        limit = _render(exact_limit, args.decimal)
-    else:
-        limit = _IRRATIONAL_LIMITS[args.function]
-    rendered = _render(mean, args.decimal)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"function": args.function, "n": args.n, "mean": rendered, "limit": limit}
-            )
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["function", "n", "mean", "limit"])
-        writer.writerow([args.function, args.n, rendered, limit])
-    else:
-        print(f"mean {rendered} limit {limit}")
+    mean = _render(sums.cesaro_mean(args.function, args.n), args.decimal)
+    exact = sums.cesaro_limit(args.function)  # None where _IRRATIONAL_LIMITS has it
+    limit = _IRRATIONAL_LIMITS.get(args.function) or _render(exact, args.decimal)
+    row, line = (args.function, args.n, mean, limit), f"mean {mean} limit {limit}"
+    _emit(args, ("function", "n", "mean", "limit"), [row], [line])
     return 0
 
 
@@ -321,27 +294,23 @@ def _cmd_table(args) -> int:
             )
     if args.start > args.stop:
         raise ValueError(f"inverted range: {args.start} > {args.stop}")
-    if args.stop - args.start > sums.DEFAULT_BRUTE_CAP:
+    count = args.stop - args.start + 1
+    if count > sums.DEFAULT_BRUTE_CAP + 1:
         raise ResourceLimitError(
-            f"range of {args.stop - args.start + 1} rows exceeds the scan cap"
-            f" {sums.DEFAULT_BRUTE_CAP}"
+            f"range of {count} rows exceeds the scan cap {sums.DEFAULT_BRUTE_CAP}"
+        )
+    if count * len(names) > TABLE_CELLS_CAP:
+        raise ResourceLimitError(
+            f"{count} rows of {len(names)} columns exceed {TABLE_CELLS_CAP}"
+            " cells (oddsum.cli.TABLE_CELLS_CAP)"
         )
     _check_printable(args.stop, "every table row prints n in decimal")
+    functions = [EVAL_FUNCTIONS[name] for name in names]
     rows = (
-        (n, [_render(EVAL_FUNCTIONS[name](n), args.decimal) for name in names])
+        [n] + [_render(function(n), args.decimal) for function in functions]
         for n in range(args.start, args.stop + 1)
     )
-    if args.format == "json":
-        records = [{"n": n} | dict(zip(names, values)) for n, values in rows]
-        print(json.dumps(records))
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["n"] + names)
-        for n, values in rows:
-            writer.writerow([n] + values)
-    else:
-        for n, values in rows:
-            print(" ".join([str(n)] + values))
+    _emit(args, ["n"] + names, rows, (" ".join(map(str, row)) for row in rows))
     return 0
 
 

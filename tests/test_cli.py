@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddsum
-from oddsum import cli
+from oddsum import cli, sums
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
 from oddsum.deviations import dev_v
@@ -511,3 +511,136 @@ def test_bad_argument_names_its_type(capsys):
         assert code == 2 and "invalid parse_nat value: 'abc'" in err
         code, _, err = run(capsys, "scan", "g-below", "0.25", "16")
         assert code == 2 and "invalid parse_rational value: '0.25'" in err
+
+
+# Every command in every format, byte for byte: argv, exit code, and the
+# stdout of --format plain, json and csv.  Exit code 1 is a failing
+# verify report, from a stand-in for verify.check.
+FORMATS = ("plain", "json", "csv")
+VERIFY_RANGE = (
+    '"range": {"max_n": 65536, "max_m": 4, "max_r": 8, "max_p": 256,'
+    ' "random_big_trials": 1000, "random_bits": 256, "seed": 0}'
+)
+GOLDEN = [
+    (("eval", "V", "4"), 0, "11/4\n",
+     '{"function": "V", "n": 4, "value": "11/4"}\n',
+     "function,n,value\nV,4,11/4\n"),
+    (("eval", "h", "0"), 2, "", "", ""),
+    (("verify", "COR7", "--max-m", "4"), 0, "COR7 pass checked=5\n",
+     '{"theorem": "COR7", "status": "pass", "checked": 5, '
+     + VERIFY_RANGE + ', "counterexample": null}\n',
+     "theorem,status,checked,counterexample\nCOR7,pass,5,\n"),
+    (("verify", "P1B", "--max-m", "4"), 1,
+     "P1B fail checked=6 n=6 expected=x actual=y\n",
+     '{"theorem": "P1B", "status": "fail", "checked": 6, ' + VERIFY_RANGE
+     + ', "counterexample": {"inputs": {"n": "6"}, "expected": "x",'
+     ' "actual": "y"}}\n',
+     "theorem,status,checked,counterexample\nP1B,fail,6,n=6 expected=x actual=y\n"),
+    (("verify", "COR5", "--max-n", "1000000000"), 3, "", "", ""),
+    (("extremal", "3"), 0, "min 0 at 15; max 3/8 at 10,12\n",
+     '{"m": 3, "min_value": "0", "min_points": [15], "max_value": "3/8",'
+     ' "max_points": [10, 12], "degenerate": false}\n',
+     "m,min_value,min_points,max_value,max_points,degenerate\n"
+     "3,0,15,3/8,10;12,False\n"),
+    (("extremal", "0"), 0, "min 0 at 1; max 0 at 1\n",
+     '{"m": 0, "min_value": "0", "min_points": [1], "max_value": "0",'
+     ' "max_points": [1], "degenerate": true}\n',
+     "m,min_value,min_points,max_value,max_points,degenerate\n0,0,1,0,1,True\n"),
+    (("scan", "g-below", "1/4", "16"), 0, "1 2 3 5 7 11 15\n",
+     "[1, 2, 3, 5, 7, 11, 15]\n", "n\n1\n2\n3\n5\n7\n11\n15\n"),
+    (("scan", "g-below", "0", "100"), 0, "\n", "[]\n", "n\n"),
+    (("cesaro", "x", "4"), 0, "mean 3/8 limit 1/3\n",
+     '{"function": "x", "n": 4, "mean": "3/8", "limit": "1/3"}\n',
+     "function,n,mean,limit\nx,4,3/8,1/3\n"),
+    (("cesaro", "inv1px", "256", "--decimal", "6"), 0,
+     "mean 0.462091 limit 0.462098120373\n",
+     '{"function": "inv1px", "n": 256, "mean": "0.462091",'
+     ' "limit": "0.462098120373"}\n',
+     "function,n,mean,limit\ninv1px,256,0.462091,0.462098120373\n"),
+    (("table", "V", "5", "5"), 0, "5 15/4\n", '[{"n": 5, "V": "15/4"}]\n',
+     "n,V\n5,15/4\n"),
+    (("table", "g,g", "1", "3"), 0, "1 0 0\n2 1/6 1/6\n3 0 0\n",
+     '[{"n": 1, "g": "0"}, {"n": 2, "g": "1/6"}, {"n": 3, "g": "0"}]\n',
+     "n,g,g\n1,0,0\n2,1/6,1/6\n3,0,0\n"),
+    (("table", "h", "0", "3"), 2, "", "", "n,h\n"),
+    (("table", "g", "7", "1"), 2, "", "", ""),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "argv, code, outputs",
+    [pytest.param(argv, code, outs, id=" ".join(argv)) for argv, code, *outs in GOLDEN],
+)
+def test_every_command_and_format_byte_for_byte(
+    capsys, monkeypatch, argv, code, outputs, fmt
+):
+    if code == 1:
+        from oddsum.verify import Counterexample, RangeConfig, VerifyReport
+
+        ce = Counterexample((("n", "6"),), "x", "y")
+        report = VerifyReport("P1B", RangeConfig(max_m=4), "fail", ce, 6, 0.0)
+        monkeypatch.setattr(cli.verify, "check", lambda theorem, config: report)
+    got, out, err = run(capsys, *argv, "--format", fmt)
+    assert (got, out) == (code, outputs[FORMATS.index(fmt)])
+    assert (err == "") == (code < 2)
+
+
+def test_json_array_spans_chunks(capsys):
+    rows = 9000  # a table's json array goes out 4096 rows at a time
+    code, out, _ = run(capsys, "table", "g", "1", str(rows), "--format", "json")
+    expected = [{"n": n, "g": cli.format_rational(cli.dev_g_closed(n))}
+                for n in range(1, rows + 1)]  # fmt: skip
+    assert code == 0 and out == json.dumps(expected) + "\n"
+
+
+# VmHWM, not ru_maxrss, which keeps the peak of the process that forked it
+PEAK_RSS = """
+import sys
+from oddsum.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_table_json_streams_in_bounded_memory(tmp_path):
+    # 262144 rows peak at 110 MB when the whole array is built before it
+    # prints, and at 20 MB streamed (17 MB for the same table in csv)
+    rows = 1 << 18
+    src = os.path.dirname(os.path.dirname(oddsum.__file__))
+    path = tmp_path / "table.json"
+    argv = ("table", "g", "1", str(rows), "--format", "json")
+    with open(path, "w") as out:
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, *argv],
+            stdout=out, stderr=subprocess.PIPE, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )  # fmt: skip
+    code, peak_kib = map(int, done.stderr.split())
+    assert code == 0 and peak_kib < 40 * 1024
+    last = cli.format_rational(cli.dev_g_closed(rows))
+    text = path.read_text()
+    assert text.startswith('[{"n": 1, "g": "0"}, {"n": 2, "g": "1/6"}, ')
+    assert text.endswith(f'}}, {{"n": {rows}, "g": "{last}"}}]\n')
+    assert text.count('{"n": ') == rows
+
+
+def test_table_over_cells_cap_exits_3_at_once(capsys, monkeypatch):
+    monkeypatch.setitem(
+        cli.EVAL_FUNCTIONS, "g", lambda n: pytest.fail("evaluated past the cap")
+    )
+    most_rows = sums.DEFAULT_BRUTE_CAP + 1
+    # every function once, at the most rows a table takes, is within the cap
+    assert len(cli.EVAL_FUNCTIONS) * most_rows == cli.TABLE_CELLS_CAP
+    for names, rows in ((13, most_rows), (1000, 60000)):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "table", ",".join(["g"] * names), "1", str(rows), "--format", "csv"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert str(cli.TABLE_CELLS_CAP) in err and "TABLE_CELLS_CAP" in err
