@@ -304,6 +304,8 @@ def _cmd_table(args) -> int:
             f"{count} rows of {len(names)} columns exceed {TABLE_CELLS_CAP}"
             " cells (oddsum.cli.TABLE_CELLS_CAP)"
         )
+    if "lambda_m" in names and args.stop > LAMBDA_M_CAP:
+        lambda_m(args.stop)  # raises eval's ResourceLimitError, before any row
     _check_printable(args.stop, "every table row prints n in decimal")
     functions = [EVAL_FUNCTIONS[name] for name in names]
     rows = (

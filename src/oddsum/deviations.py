@@ -39,12 +39,21 @@ by binary splitting: with n = a * 2**k + b and b < 2**k,
 where Z_k(b) is the complement of b within k digits, read in reverse,
 and H_k(b) is h over b padded with leading zeros to k digits, which
 splits the same way.  Up to _H_BASE_BITS digits the defining sum runs
-directly.  An m-digit h costs O(M(m) log m), M(m) the cost of an m-bit
-product, against O(m**2) for the defining sum.
+8 digits per step from the bottom, by the same split with k = 8: the
+chunk c of digits s to s+7 adds (n >> (s+8)) * Z_8(c) + H_8(c), read
+from a table, and a last chunk of w < 8 digits adds
+(n >> k) * (Z_8(c) >> (8-w)) + H_8(c).  An m-digit h costs O(M(m) log m),
+M(m) the cost of an m-bit product, against O(m**2) for the defining sum.
 
 The recurrence evaluators walk digits most significant first with scaled
 integer state, so deep arguments cost no recursion depth and no
-intermediate reductions.
+intermediate reductions.  dev_u and dev_g start from n = 0, where the
+doubling rules already hold with u = g = v = 0, and read n padded to a
+multiple of 8 digits, 8 digits per step: a chunk acts on their state as
+an affine map whose coefficients come from a 256-entry table.  Each
+table is built at import by applying its kernel's one-digit rule 8
+times; the recurrences' tables come from their own doubling rules, not
+from h.
 """
 
 from __future__ import annotations
@@ -67,6 +76,59 @@ __all__ = [
 # h runs its defining sum on at most this many digits instead of
 # splitting further; between 128 and 512 digits the two cost about the same.
 _H_BASE_BITS = 256
+
+
+def _chunk_table(extend, start):
+    """A table over the 256 chunks of 8 digits, grown one lower digit at a time.
+
+    extend(table, width) applies a one-digit rule to the entries of the
+    chunks c of `width` digits and returns those of 2c and of 2c + 1.
+    """
+    table = [start]
+    for width in range(8):
+        zero, one = extend(table, width)
+        table = table * 2
+        table[0::2], table[1::2] = zero, one
+    return table
+
+
+def _h_digit(table, width):
+    """(Z, H) with S(high * 2**width + c) = high*Z + H.
+
+    S sums n >> (j+1) over the zero digits j < width of n, and a lower
+    digit e adds one term: S(2n + e) = S(n) + (1-e) n.
+    """
+    return [(z + (1 << width), h + c) for c, (z, h) in enumerate(table)], table
+
+
+def _g_digit(table, width):
+    """(z, y, r): g' = (g << width) + z*v + (y << L), v' = v + (r << (L+1)).
+
+    (g, v) is scaled by 3 * 2**L.  A digit e at level L + width:
+    g' <- 2g' + (1-e) v' and v' <- v' + (e << (L + width + 1)).
+    """
+    bit = 1 << width
+    return (
+        [(2 * z + 1, 2 * y + (r << 1), r) for z, y, r in table],
+        [(2 * z, 2 * y, r + bit) for z, y, r in table],
+    )
+
+
+def _u_digit(table, width):
+    """(a, b): 3u(high * 2**width + c) = 3u(high) + a*high + b.
+
+    A digit e: 3u(2p + e) = 3u(p) + p - e(2p + e).
+    """
+    bit = 1 << width
+    return (
+        [(a + bit, b + c) for c, (a, b) in enumerate(table)],
+        [(a - bit, b - c - 1) for c, (a, b) in enumerate(table)],
+    )
+
+
+_H_STEP = _chunk_table(_h_digit, (0, 0))
+_G_STEP = _chunk_table(_g_digit, (0, 0, 0))
+_U_STEP = _chunk_table(_u_digit, (0, 0))
 
 
 def dev_v(n: int) -> Fraction:
@@ -92,19 +154,14 @@ def dev_v_recur(n: int) -> Fraction:
 
 
 def dev_u(n: int) -> Fraction:
-    """u(n) by the doubling rule, carrying the integer 3*u."""
+    """u(n) by the doubling rule, carrying the integer 3*u, 8 digits per step."""
     if n < 0:
         raise DomainError("dev_u requires n >= 0")
-    if n == 0:
-        return Fraction(0)
-    m = n.bit_length() - 1
-    prefix = 1
-    triple = -1  # 3 * u(prefix)
-    for k in range(m - 1, -1, -1):
-        bit = (n >> k) & 1
-        child = 2 * prefix + bit
-        triple += prefix - bit * child
-        prefix = child
+    prefix = triple = 0  # triple is 3 * u(prefix)
+    for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
+        a, b = _U_STEP[c]
+        triple += a * prefix + b
+        prefix = (prefix << 8) | c
     return Fraction(triple, 3)
 
 
@@ -115,7 +172,16 @@ def _h_low(n: int, k: int) -> int:
     n padded with leading zeros to k digits.
     """
     if k <= _H_BASE_BITS:
-        return sum(n >> (j + 1) for j in range(k) if not (n >> j) & 1)
+        total = 0
+        high = n
+        for _ in range(k >> 3):
+            zeros, low = _H_STEP[high & 0xFF]
+            high >>= 8
+            total += high * zeros + low
+        if width := k & 7:
+            zeros, low = _H_STEP[high & ((1 << width) - 1)]
+            total += (high >> width) * (zeros >> (8 - width)) + low
+        return total
     low_k = k >> 1
     mask = (1 << low_k) - 1
     high = n >> low_k
@@ -144,19 +210,16 @@ def dev_u_closed(n: int) -> Fraction:
 
 
 def dev_g(n: int) -> Fraction:
-    """g(n) by the doubling rules, carrying v alongside as scaled integers."""
+    """g(n) by the doubling rules, carrying v alongside, 8 digits per step."""
     if n < 0:
         raise DomainError("dev_g requires n >= 0")
-    if n < 2:
-        return Fraction(0)
-    m = n.bit_length() - 1
-    g_num = 0  # g(prefix) scaled by 3 * 2**level
-    v_num = 1  # v(prefix) scaled the same way
-    for k in range(m - 1, -1, -1):
-        bit = (n >> k) & 1
-        g_num = 2 * g_num + (0 if bit else v_num)
-        v_num += bit << (m - k)
-    return Fraction(g_num, 3 << m)
+    g_num = v_num = level = 0  # g and v of the prefix, scaled by 3 * 2**level
+    for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
+        z, y, r = _G_STEP[c]
+        g_num = (g_num << 8) + z * v_num + (y << level)
+        v_num += r << (level + 1)
+        level += 8
+    return Fraction(g_num, 3 << level)
 
 
 def dev_g_closed(n: int) -> Fraction:

@@ -74,10 +74,11 @@ __all__ = [
 # h(n >> 1), whose divide-and-conquer split needs n of 259 bits or more.
 _H_SPLIT_BITS = deviations._H_BASE_BITS + 4
 
-# At each cap the slowest checker takes 3 to 7 s and at most 86 MB on 2
-# cores, Python 3.11: P2C at max_n 2**20, P10 at max_m 18, one trial of
-# 16384 bits (a trial costs at least its width squared); L2 and COR6
-# take 0.3 ms a cell at max_r 64.
+# At each cap the slowest checker takes 2 to 6 s and at most 87 MB on 2
+# cores, Python 3.11: P2C at max_n 2**20 (4.0 s), P10 at max_m 18 (1.7 s),
+# one trial of 16384 bits (5.7 s, nearly all in P2C; a trial costs at
+# least its width squared); L2 and COR6 take 0.8 and 1.7 s on a grid of
+# GRID_CELLS_CAP cells at max_r 64.
 MAX_N_CAP = 1 << 20
 MAX_M_CAP = 18
 MAX_R_CAP = 64

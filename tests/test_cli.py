@@ -644,3 +644,22 @@ def test_table_over_cells_cap_exits_3_at_once(capsys, monkeypatch):
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
         assert str(cli.TABLE_CELLS_CAP) in err and "TABLE_CELLS_CAP" in err
+
+
+def test_table_lambda_m_past_its_cap_exits_3_at_once(capsys):
+    _, _, eval_err = run(capsys, "eval", "lambda_m", str(4 * LAMBDA_M_CAP))
+    for argv in (
+        ("table", "lambda_m", "1", str(4 * LAMBDA_M_CAP), "--decimal", "10"),
+        ("table", "v,lambda_m", str(LAMBDA_M_CAP + 1), str(LAMBDA_M_CAP + 1)),
+        ("table", "lambda_m", "1", str(4 * LAMBDA_M_CAP), "--format", "csv"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == "" and err == eval_err
+    # a table that ends at the cap itself is not refused
+    code, out, _ = run(
+        capsys, "table", "lambda_m", str(LAMBDA_M_CAP), str(LAMBDA_M_CAP),
+        "--decimal", "10",
+    )  # fmt: skip
+    assert code == 0 and out == f"{LAMBDA_M_CAP} 116508.4815\n"

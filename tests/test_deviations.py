@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oddsum import deviations
 from oddsum.bitcore import DomainError, hat, tilde
 from oddsum.deviations import (
     _H_BASE_BITS,
+    _h_low,
     dev_g,
     dev_g_closed,
     dev_g_digit,
@@ -26,6 +28,40 @@ def h_linear(n):
     """h by its definition, one term per zero digit below the leading one."""
     m = n.bit_length() - 1
     return sum(n >> (k + 1) for k in range(m) if not (n >> k) & 1)
+
+
+def dev_g_linear(n):
+    """g by the doubling rules, one digit at a time from the leading one."""
+    if n < 2:
+        return Fraction(0)
+    m = n.bit_length() - 1
+    g_num = 0  # g(prefix) scaled by 3 * 2**level
+    v_num = 1  # v(prefix) scaled the same way
+    for k in range(m - 1, -1, -1):
+        bit = (n >> k) & 1
+        g_num = 2 * g_num + (0 if bit else v_num)
+        v_num += bit << (m - k)
+    return Fraction(g_num, 3 << m)
+
+
+def dev_u_linear(n):
+    """u by the doubling rule, one digit at a time, carrying the integer 3u."""
+    if n == 0:
+        return Fraction(0)
+    m = n.bit_length() - 1
+    prefix = 1
+    triple = -1  # 3 * u(prefix)
+    for k in range(m - 1, -1, -1):
+        bit = (n >> k) & 1
+        child = 2 * prefix + bit
+        triple += prefix - bit * child
+        prefix = child
+    return Fraction(triple, 3)
+
+
+def padded_h(n, k):
+    """The defining sum over the zero digits j < k of n, padded to k digits."""
+    return sum(n >> (j + 1) for j in range(k) if not (n >> j) & 1)
 
 
 def random_width(rng, bits):
@@ -213,3 +249,66 @@ def test_negative_arguments_rejected():
     ):
         with pytest.raises(DomainError):
             fn(-1)
+
+
+# The 8-digit tables against 8 applications of each one-digit rule, from
+# states that pin every coefficient of the affine map a chunk stands for.
+
+
+def test_h_table_is_eight_digits_of_the_defining_sum():
+    assert len(deviations._H_STEP) == 256
+    for c, (zeros, low) in enumerate(deviations._H_STEP):
+        assert zeros == int(format(~c & 0xFF, "08b")[::-1], 2), c
+        assert low == padded_h(c, 8), c
+        for high in (0, 1, 5, 1 << 70):
+            assert padded_h((high << 8) | c, 8) == high * zeros + low, (c, high)
+
+
+def test_g_table_is_eight_steps_of_the_doubling_rules():
+    assert len(deviations._G_STEP) == 256
+    for c, (z, y, r) in enumerate(deviations._G_STEP):
+        for g0, v0, level0 in ((0, 0, 0), (0, 1, 0), (7, 3, 5), (1 << 40, 9, 33)):
+            g, v = g0, v0
+            for j in range(8):
+                bit = (c >> (7 - j)) & 1
+                g = 2 * g + (0 if bit else v)
+                v += bit << (level0 + j + 1)
+            assert g == (g0 << 8) + z * v0 + (y << level0), (c, g0, v0, level0)
+            assert v == v0 + (r << (level0 + 1)), (c, g0, v0, level0)
+
+
+def test_u_table_is_eight_steps_of_the_doubling_rule():
+    assert len(deviations._U_STEP) == 256
+    for c, (a, b) in enumerate(deviations._U_STEP):
+        for triple0, prefix0 in ((0, 0), (0, 1), (-1, 1), (11, 12345), (0, 1 << 50)):
+            triple, prefix = triple0, prefix0
+            for k in range(7, -1, -1):
+                bit = (c >> k) & 1
+                child = 2 * prefix + bit
+                triple += prefix - bit * child
+                prefix = child
+            assert triple == triple0 + a * prefix0 + b, (c, prefix0)
+            assert prefix == (prefix0 << 8) | c
+
+
+def test_recurrences_match_the_one_digit_walks_exhaustively():
+    for n in range(1 << 12):
+        assert dev_g(n) == dev_g_linear(n), n
+        assert dev_u(n) == dev_u_linear(n), n
+
+
+def test_recurrences_match_the_one_digit_walks_at_every_width():
+    # every residue of the width mod 8, on both sides of the split in h
+    rng = random.Random("walk-widths")
+    for bits in [*range(1, 41), *range(250, 271)]:
+        for n in (1 << (bits - 1), (1 << bits) - 1, random_width(rng, bits)):
+            assert dev_g(n) == dev_g_linear(n), n
+            assert dev_u(n) == dev_u_linear(n), n
+
+
+def test_h_base_case_matches_the_defining_sum_when_padded():
+    # the split feeds in n < 2**k, whose top digits are padding zeros
+    rng = random.Random("h-padded")
+    for k in range(_H_BASE_BITS + 5):
+        for n in {0, (1 << k) - 1, (1 << k) >> 1, rng.getrandbits(k)}:
+            assert _h_low(n, k) == padded_h(n, k), (n, k)

@@ -491,3 +491,29 @@ def test_eq4_trials_reach_the_split_in_h(monkeypatch):
     report = check("EQ4_IDENTITY", config)
     assert report.status == "fail"
     assert report.checked_count > config.max_n
+
+
+# One entry of each 8-digit table, off by one where the smoke range reads
+# it: the chunk 10 is all of g(10) and u(10), and h(13) takes its last
+# three digits, 0b101, from the entry 5.
+TABLE_FAULTS = [
+    ("_G_STEP", 10, 1, "EQL21",
+     "EQL21 fail checked=3 n=2 residue=2 expected=3/8 actual=289/768"),
+    ("_G_STEP", 10, 1, "P6B", "P6B fail checked=10 n=10 expected=3/8 actual=289/768"),
+    ("_U_STEP", 10, 1, "EQ4_IDENTITY",
+     "EQ4_IDENTITY fail checked=10 n=10 function=U expected=107/3 actual=36"),
+    ("_H_STEP", 5, 1, "ORACLE_UVG",
+     "ORACLE_UVG fail checked=26 n=26 function=U expected=232 actual=231"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("table, chunk, field, theorem, line", TABLE_FAULTS)
+def test_corrupted_digit_table_fails_verify(
+    monkeypatch, table, chunk, field, theorem, line
+):
+    entries = list(getattr(deviations, table))
+    entry = list(entries[chunk])
+    entry[field] += 1
+    entries[chunk] = tuple(entry)
+    monkeypatch.setattr(deviations, table, entries)
+    assert check(theorem, SMOKE).line() == line
