@@ -15,9 +15,11 @@ at exactly two points.  The machinery for this:
 
 Also here: the enumerators for the sharp-bound equality sets, for the
 perfect-mean equation 3U(n) = n(n+1) (solutions 2**m - 2, m >= 2), and
-the threshold scan for g(n) < 1/4 and friends.  Equality sets are
-generated from their closed forms and every element is re-validated by
-direct evaluation, so bounds far beyond scan range stay cheap.
+the threshold scan for g(n) < 1/4 and friends.  The equality sets come
+from one table: each is a family {2**m + c : m >= first}, except
+G_THETA, which is the set of block argmax points above.  Every member
+is re-validated by direct evaluation, so bounds far beyond scan range
+stay cheap.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitcore import DomainError, ResourceLimitError, floor_lg, round_pow2_over_3
+from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
 from .deviations import dev_g, dev_v
 from .sums import DEFAULT_BRUTE_CAP, u_fast, v_fast
 
@@ -102,25 +104,23 @@ def skeleton(r: int) -> SkeletonPair:
     return SkeletonPair(r, x, y)
 
 
+def _peak_offsets(m: int) -> tuple[int, int]:
+    """The offsets y_{(m-1)//2} and x_{m//2} where g peaks on a 2**m block:
+    y_j and x_j for m = 2j+1, y_j and x_{j+1} for m = 2j+2."""
+    return skeleton((m - 1) // 2).y, skeleton(m // 2).x
+
+
 def lambda_block(n: int, m: int) -> Fraction:
     """Block maximum Lambda(n, m) = max g over {2**m n + t : 0 <= t < 2**m}.
 
-    Closed form: only two offsets can win, both from the skeleton.  For
-    m = 2j+1 they are y_j and x_j; for m = 2j+2 they are y_j and x_{j+1}.
+    Closed form: only the two offsets of _peak_offsets can win.
     """
     if n <= 0:
         raise DomainError("lambda_block requires n >= 1")
     if m < 1:
-        raise ValueError("lambda_block requires m >= 1")
-    if m % 2:
-        j = (m - 1) // 2
-        pair = skeleton(j)
-        offsets = (pair.y, pair.x)
-    else:
-        j = (m - 2) // 2
-        offsets = (skeleton(j).y, skeleton(j + 1).x)
+        raise DomainError("lambda_block requires m >= 1")
     base = n << m
-    return max(dev_g(base + t) for t in offsets)
+    return max(dev_g(base + t) for t in _peak_offsets(m))
 
 
 def _block_g_numerators(n: int, m: int, cap: int) -> tuple[list[int], int]:
@@ -222,99 +222,25 @@ def argmax_g(m: int) -> ExtremalReport:
     if m == 1:
         return ExtremalReport(1, Fraction(0), (3,), Fraction(1, 6), (2,), True)
     max_value = lambda_m(m)  # refuses m past LAMBDA_M_CAP before the skeleton work
-    top = (1 << m) + skeleton(m // 2).x
-    second = (1 << m) + skeleton((m - 1) // 2).y
-    return ExtremalReport(
-        m,
-        Fraction(0),
-        ((2 << m) - 1,),
-        max_value,
-        tuple(sorted((top, second))),
-        False,
-    )
+    points = tuple(sorted((1 << m) + t for t in _peak_offsets(m)))
+    return ExtremalReport(m, Fraction(0), ((2 << m) - 1,), max_value, points, False)
 
 
-EQUALITY_KINDS = (
-    "V_LOWER",
-    "V_UPPER",
-    "U_EVEN_LOWER",
-    "U_EVEN_UPPER",
-    "U_ODD_LOWER",
-    "U_ODD_UPPER",
-    "G_UPPER",
-    "G_THETA",
-)
+# kind: (first m, offset c, defining equality).  Each set is
+# {2**m + c : m >= first} up to the bound, except G_THETA (c = None):
+# {2**m - 1 + round(2**k/3) : k in {m, m+1}}, the block argmax points.
+_EQUALITY_SETS = {
+    "V_LOWER": (0, 0, lambda n: 3 * n * v_fast(n) == 2 * n * n + 1),
+    "V_UPPER": (1, -1, lambda n: 3 * (n + 1) * v_fast(n) == 2 * n * (n + 2)),
+    "U_EVEN_LOWER": (1, 0, lambda n: 3 * u_fast(n) == n * n + 2),
+    "U_EVEN_UPPER": (2, -2, lambda n: 3 * u_fast(n) == n * n + n),
+    "U_ODD_LOWER": (1, 1, lambda n: 3 * u_fast(n) == n * n + n + 3),
+    "U_ODD_UPPER": (1, -1, lambda n: 3 * u_fast(n) == n * n + 2 * n),
+    "G_UPPER": (1, -1, lambda n: dev_g(n) == 0),
+    "G_THETA": (0, None, lambda n: dev_g(n) == theta(n)),
+}
 
-
-def _attains(kind: str, n: int) -> bool:
-    """Does n attain the sharp bound named by kind?  Exact evaluation."""
-    if kind == "V_LOWER":
-        return 3 * n * v_fast(n) == 2 * n * n + 1
-    if kind == "V_UPPER":
-        return 3 * (n + 1) * v_fast(n) == 2 * n * (n + 2)
-    if kind == "U_EVEN_LOWER":
-        return 3 * u_fast(n) == n * n + 2
-    if kind == "U_EVEN_UPPER":
-        return 3 * u_fast(n) == n * n + n
-    if kind == "U_ODD_LOWER":
-        return 3 * u_fast(n) == n * n + n + 3
-    if kind == "U_ODD_UPPER":
-        return 3 * u_fast(n) == n * n + 2 * n
-    if kind == "G_UPPER":
-        return dev_g(n) == 0
-    if kind == "G_THETA":
-        return dev_g(n) == theta(n)
-    raise ValueError(f"unknown equality kind {kind!r}")
-
-
-def _generate_members(kind: str, bound: int) -> list[int]:
-    if kind in ("V_LOWER", "U_EVEN_LOWER"):
-        start = 1 if kind == "V_LOWER" else 2  # n = 2**m; even case needs m >= 1
-        out = []
-        n = start
-        while n <= bound:
-            out.append(n)
-            n *= 2
-        return out
-    if kind in ("V_UPPER", "G_UPPER", "U_ODD_UPPER"):
-        # 2**(m+1)-1 with m >= 0, resp. 2**m - 1 with m >= 1: the same set,
-        # the all-ones integers from 1 up
-        return _all_ones_up_to(bound)
-    if kind == "U_EVEN_UPPER":
-        out = []
-        n = 2  # 2**m - 2 for m >= 2
-        while n <= bound:
-            out.append(n)
-            n = 2 * n + 2
-        return out
-    if kind == "U_ODD_LOWER":
-        out = []
-        n = 3  # 2**m + 1 for m >= 1
-        while n <= bound:
-            out.append(n)
-            n = 2 * n - 1
-        return out
-    if kind == "G_THETA":
-        members = set()
-        r = 1
-        while (1 << r) - 1 + round_pow2_over_3(r) <= bound:
-            members.add((1 << r) - 1 + round_pow2_over_3(r))
-            r += 1
-        r = 0
-        while (1 << r) - 1 + round_pow2_over_3(r + 1) <= bound:
-            members.add((1 << r) - 1 + round_pow2_over_3(r + 1))
-            r += 1
-        return sorted(members)
-    raise ValueError(f"unknown equality kind {kind!r}")
-
-
-def _all_ones_up_to(bound: int) -> list[int]:
-    out = []
-    n = 1
-    while n <= bound:
-        out.append(n)
-        n = 2 * n + 1
-    return out
+EQUALITY_KINDS = tuple(_EQUALITY_SETS)
 
 
 def equality_set(kind: str, bound: int) -> list[int]:
@@ -335,13 +261,22 @@ def equality_set(kind: str, bound: int) -> list[int]:
         G_UPPER       {2**r - 1}    g(n) = 0
         G_THETA       the two round(2**r/3)-shifted families; g(n) = theta_n
     """
-    if kind not in EQUALITY_KINDS:
+    if kind not in _EQUALITY_SETS:
         raise ValueError(f"unknown equality kind {kind!r}")
     if bound <= 0:
         raise DomainError("equality_set requires bound >= 1")
-    members = _generate_members(kind, bound)
+    first, c, attains = _EQUALITY_SETS[kind]
+    # past m = bit_length(bound) every candidate exceeds the bound
+    ms = range(first, bound.bit_length() + 1)
+    if c is None:
+        candidates = {
+            (1 << m) - 1 + round_pow2_over_3(k) for m in ms for k in (m, m + 1)
+        }
+    else:
+        candidates = {(1 << m) + c for m in ms}
+    members = sorted(n for n in candidates if 1 <= n <= bound)
     for n in members:
-        if not _attains(kind, n):
+        if not attains(n):
             raise RuntimeError(f"{kind} closed form emitted non-attaining n={n}")
     return members
 

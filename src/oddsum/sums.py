@@ -45,6 +45,7 @@ from .deviations import _triple_u
 
 __all__ = [
     "CESARO_FUNCTIONS",
+    "CESARO_X2_WIDTH_CAP",
     "DEFAULT_BRUTE_CAP",
     "alpha",
     "cesaro_limit",
@@ -158,6 +159,11 @@ def g_fast(n: int) -> Fraction:
 
 CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")
 
+# cesaro_mean("x2", n) refuses a wider n: _sum_k_alpha takes one
+# big-integer step per digit, and its cost grows about 5x per doubling
+# of the width (4.3 s at 2**14 bits on 2 cores, Python 3.11).
+CESARO_X2_WIDTH_CAP = 1 << 14
+
 _CESARO_LIMITS = {
     "const1": Fraction(2, 3),
     "x": Fraction(1, 3),
@@ -212,7 +218,9 @@ def cesaro_mean(function_id: str, n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fract
 
     const1, x and x2 reduce to V(n)/n, U(n)/n**2 and W(n)/n**3 and cost
     O(log n); inv1px, meaning f(x) = 1/(1+x), is a genuine O(n) sum of
-    terms 1/(2**t (n+k)) and respects the brute cap.
+    terms 1/(2**t (n+k)) and respects the brute cap.  x2 raises
+    ResourceLimitError, before any work, for n wider than
+    CESARO_X2_WIDTH_CAP bits.
     """
     if n <= 0:
         raise DomainError("cesaro_mean requires n >= 1")
@@ -221,6 +229,11 @@ def cesaro_mean(function_id: str, n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fract
     if function_id == "x":
         return Fraction(u_fast(n), n * n)
     if function_id == "x2":
+        if n.bit_length() > CESARO_X2_WIDTH_CAP:
+            raise ResourceLimitError(
+                f"cesaro x2 takes one big-integer step per digit of n; n is capped at"
+                f" {CESARO_X2_WIDTH_CAP} bits (oddsum.sums.CESARO_X2_WIDTH_CAP)"
+            )
         return Fraction(_sum_k_alpha(n), n**3)
     if function_id == "inv1px":
         # the 1/n prefactor cancels: (1/n) f(k/n) alpha(k)/k = 1/(2**t (n+k))

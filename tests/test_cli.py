@@ -663,3 +663,15 @@ def test_table_lambda_m_past_its_cap_exits_3_at_once(capsys):
         "--decimal", "10",
     )  # fmt: skip
     assert code == 0 and out == f"{LAMBDA_M_CAP} 116508.4815\n"
+
+
+def test_cesaro_x2_past_its_width_cap_exits_3_at_once(capsys):
+    wide = "0b1" + "0" * sums.CESARO_X2_WIDTH_CAP  # one bit past the cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cesaro", "x2", wide, "--decimal", "10")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert str(sums.CESARO_X2_WIDTH_CAP) in err and "CESARO_X2_WIDTH_CAP" in err
+    # the other weights have no width cap: x is a closed form
+    code, _, _ = run(capsys, "cesaro", "x", wide, "--decimal", "10")
+    assert code == 0

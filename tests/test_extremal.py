@@ -227,6 +227,32 @@ def test_equality_sets_reach_huge_bounds():
         assert dev_g(n) == theta(n)
 
 
+def test_equality_sets_at_every_bound_to_1024():
+    top = 1024
+    evens, odds = range(2, top + 1, 2), range(1, top + 1, 2)
+    scans = {
+        "V_LOWER": [n for n in range(1, top + 1) if 3 * n * v_fast(n) == 2 * n * n + 1],
+        "V_UPPER": [
+            n for n in range(1, top + 1) if 3 * (n + 1) * v_fast(n) == 2 * n * (n + 2)
+        ],
+        "U_EVEN_LOWER": [n for n in evens if 3 * u_fast(n) == n * n + 2],
+        "U_EVEN_UPPER": [n for n in evens if 3 * u_fast(n) == n * n + n],
+        "U_ODD_LOWER": [n for n in odds if 3 * u_fast(n) == n * n + n + 3],
+        "U_ODD_UPPER": [n for n in odds if 3 * u_fast(n) == n * n + 2 * n],
+        "G_UPPER": [n for n in range(1, top + 1) if dev_g(n) == 0],
+        "G_THETA": [n for n in range(1, top + 1) if dev_g(n) == theta(n)],
+    }
+    assert tuple(scans) == EQUALITY_KINDS
+    for kind, scanned in scans.items():
+        for bound in range(1, top + 1):
+            assert equality_set(kind, bound) == [n for n in scanned if n <= bound]
+
+
+def test_theta_attainment_set_is_the_block_argmax_points():
+    points = {n for m in range(16) for n in argmax_g(m).max_points}
+    assert equality_set("G_THETA", (1 << 16) - 1) == sorted(points)
+
+
 def test_theta_attainment_set():
     members = equality_set("G_THETA", 1 << 14)
     scanned = [n for n in range(1, (1 << 14) + 1) if dev_g(n) == theta(n)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oddsum import sums
 from oddsum.bitcore import DomainError, ResourceLimitError
 from oddsum.deviations import dev_g, dev_u, dev_v_recur
 from oddsum.sums import (
@@ -158,6 +159,14 @@ def test_cesaro_rejects_unknown_weight():
         cesaro_mean("x", 0)
     with pytest.raises(ResourceLimitError):
         cesaro_mean("inv1px", 100, cap=99)
+
+
+def test_cesaro_x2_width_cap_is_checked_at_its_edge(monkeypatch):
+    monkeypatch.setattr(sums, "CESARO_X2_WIDTH_CAP", 8)
+    w = sum(k * alpha(k) for k in range(1, 256))
+    assert cesaro_mean("x2", 255) == Fraction(w, 255**3)
+    with pytest.raises(ResourceLimitError, match="CESARO_X2_WIDTH_CAP"):
+        cesaro_mean("x2", 256)
 
 
 def test_cesaro_means_match_literal_sums():
