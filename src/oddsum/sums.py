@@ -216,11 +216,12 @@ def _tree_sum(pairs: list[tuple[int, int]]) -> Fraction:
 def cesaro_mean(function_id: str, n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
     """Exact mean (1/n) sum_{k<=n} f(k/n) alpha(k)/k for a built-in f.
 
-    const1, x and x2 reduce to V(n)/n, U(n)/n**2 and W(n)/n**3 and cost
-    O(log n); inv1px, meaning f(x) = 1/(1+x), is a genuine O(n) sum of
-    terms 1/(2**t (n+k)) and respects the brute cap.  x2 raises
-    ResourceLimitError, before any work, for n wider than
-    CESARO_X2_WIDTH_CAP bits.
+    const1, x and x2 reduce to V(n)/n, U(n)/n**2 and W(n)/n**3.  const1
+    and x run the fast kernels; x2 walks the digits of n, cubing the
+    prefix at each, so its cost grows about 5x per doubling of the width,
+    and it raises ResourceLimitError, before any work, for n wider than
+    CESARO_X2_WIDTH_CAP bits.  inv1px, meaning f(x) = 1/(1+x), is a
+    genuine O(n) sum of terms 1/(2**t (n+k)) and respects the brute cap.
     """
     if n <= 0:
         raise DomainError("cesaro_mean requires n >= 1")

@@ -31,8 +31,8 @@ times the square of their width.
 Verdicts are integer arithmetic: a checker cross-multiplies the
 numerators and denominators of its values (as_integer_ratio, exact for
 ints, Fractions and floats) or brings them over one common denominator,
-with an exact Fraction fallback for a value outside it.  Fractions are
-built only to write a failure report, which is that of exact comparison.
+widened for a value outside it.  A failure is reported from the same
+integers; Fractions are built only to write that report.
 
 All checkers read their evaluators from an Evaluators bundle rather
 than calling module functions directly.  Swapping in a corrupted
@@ -44,6 +44,7 @@ actually notices wrong values.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -204,23 +205,22 @@ def _random_args(config: RangeConfig, theorem: str, wide_bits: int = 0) -> list[
     return args
 
 
-def _numerators_over(denominator: int, values) -> list[int] | None:
+def _over(denominator: int, values) -> tuple[list[int], int]:
     """The values as integer numerators over one common denominator.
 
-    None when some value is not a rational whose denominator divides it,
-    which only a corrupted evaluator returns; the caller then falls back
-    to exact Fraction arithmetic.
+    That is denominator itself when it is a multiple of every value's
+    denominator, as for every uncorrupted evaluator, and otherwise their
+    least common multiple.  Ints, Fractions and floats are read exactly.
     """
     nums = []
     for value in values:
-        try:
-            scale, rest = divmod(denominator, value.denominator)
-        except AttributeError:  # not a rational at all
-            return None
+        p, q = value.as_integer_ratio()
+        scale, rest = divmod(denominator, q)
         if rest:
-            return None
-        nums.append(value.numerator * scale)
-    return nums
+            lcm = math.lcm(denominator, *(x.as_integer_ratio()[1] for x in values))
+            return _over(lcm, values)
+        nums.append(p * scale)
+    return nums, denominator
 
 
 def _is_pow2(n: int) -> bool:
@@ -437,43 +437,30 @@ def _check_p2c(config, ev):
     Every term v(n >> p) lives over 3 * 2**m, m = floor_lg(n), so the
     terms are summed as integers over that denominator and compared with
     2 * popcount(n) * 2**m.  The scan telescopes, S(n) = sum_p v(n >> p)
-    over 3 * 2**m being v(n) + 2 S(n >> 1), so it evaluates v(n) alone.
-    A term outside the denominator (from a corrupted evaluator), an
-    unconfirmed S(n >> 1) or a mismatch re-runs the sum in exact Fraction
-    arithmetic, which alone produces the report.  A trial runs the full sum.
+    over 3 * 2**m being v(n) + 2 S(n >> 1), so it evaluates v(n) alone,
+    having confirmed S(n >> 1) when it passed n >> 1.  A trial runs the full sum.
     """
 
-    def violation(n: int):
-        terms = [ev.dev_v(n)]
-        x = n
-        while x:
-            terms.append(ev.dev_v(x))
-            x >>= 1
-        m = n.bit_length() - 1
-        nums = _numerators_over(3 << m, terms)
-        if nums is not None and sum(nums) == n.bit_count() << (m + 1):
-            return None
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        target = Fraction(2 * n.bit_count(), 3)
-        if total != target:
-            return _ce(target, total, n=n)
+    def violation(n: int, total: int, den: int):
+        if 3 * total != 2 * n.bit_count() * den:
+            return _ce(Fraction(2 * n.bit_count(), 3), Fraction(total, den), n=n)
 
-    prefix_sums = [0] + [None] * config.max_n  # S(n), None where unconfirmed
+    prefix_sums = [0]  # S(n) over 3 * 2**m for each n scanned so far
 
     def telescoped(ev, item):
         index, n = item
-        if index < config.max_n:  # the scan, n = index + 1
-            value, m = ev.dev_v(n), n.bit_length() - 1
-            prefix = prefix_sums[n >> 1]
-            nums = _numerators_over(3 << m, (value,))
-            if nums is not None and prefix is not None:
-                total = nums[0] + 2 * prefix
-                if nums[0] + total == n.bit_count() << (m + 1):
-                    prefix_sums[n] = total
-                    return None
-        return violation(n)
+        m = n.bit_length() - 1
+        if index >= config.max_n:  # a trial
+            terms, x = [ev.dev_v(n)], n
+            while x:
+                terms.append(ev.dev_v(x))
+                x >>= 1
+            nums, den = _over(3 << m, terms)
+            return violation(n, sum(nums), den)
+        (num,), den = _over(3 << m, (ev.dev_v(n),))
+        total = num + 2 * prefix_sums[n >> 1] * (den // (3 << m))
+        prefix_sums.append(total)
+        return violation(n, num + total, den)
 
     return enumerate(_n_range_and_trials(1)(config, "P2C")), telescoped
 
@@ -504,29 +491,22 @@ def _check_eql21(ev, n):
 
     g(n) and v(n) live over 3 * 2**m, m = floor_lg(n), and g(4n + r) over
     3 * 2**(m+2), so all six values are brought over the latter and the
-    four rules compared as integers.  A value outside it (from a
-    corrupted evaluator) or a mismatch re-runs the comparisons in exact
-    Fraction arithmetic, which alone produces the report.
+    four rules compared as integers.
     """
-    g, v = ev.dev_g(n), ev.dev_v(n)
-    actuals = [ev.dev_g(4 * n + residue) for residue in range(4)]
+    values = [ev.dev_g(n), ev.dev_v(n)] + [ev.dev_g(4 * n + r) for r in range(4)]
     m = max(n.bit_length() - 1, 0)  # n = 0 fits the n = 1 denominators
-    nums = _numerators_over(12 << m, (g, v, *actuals))
-    if nums is not None:  # four times each rule over 12 * 2**m: 4/6 is 2**(m+3)
-        g4, v_num = 4 * nums[0], nums[1]
-        expect = [g4 + 3 * v_num, g4 + 2 * v_num, g4 + (8 << m) + v_num, g4]
-        if [4 * num for num in nums[2:]] == expect:
-            return None
-    rules = (g + Fraction(3, 4) * v, g + v / 2, g + Fraction(1, 6) + v / 4, g)
-    for residue, (actual, expect) in enumerate(zip(actuals, rules)):
-        if actual != expect:
-            return _ce(expect, actual, n=n, residue=residue)
+    (g, v, *actuals), den = _over(12 << m, values)
+    # four times each rule, over den: 4 * 1/6 is 2 * den / 3
+    rules = (4 * g + 3 * v, 4 * g + 2 * v, 4 * g + 2 * den // 3 + v, 4 * g)
+    for residue, (actual, rule) in enumerate(zip(actuals, rules)):
+        if 4 * actual != rule:
+            expected = Fraction(rule, 4 * den)
+            return _ce(expected, Fraction(actual, den), n=n, residue=residue)
 
 
 @_claim("L2")
 def _check_l2(config, ev):
     """The two skeleton-offset difference identities, all p >= 0, r >= 0."""
-    third = Fraction(1, 3)
     grid, pairs = _skeleton_grid(config, 0)
 
     def gap(a: int, b: int) -> tuple[int, int]:
@@ -538,23 +518,18 @@ def _check_l2(config, ev):
     def identities(ev, item):
         r, p = item
         x_r, y_r, x_next = pairs[r].x, pairs[r].y, pairs[r + 1].x
-        vp = ev.dev_v(p)
-        s, t = vp.as_integer_ratio()
-        # each identity with both sides times 9t * 2**k * den, v(p) = s/t
-        base = p << (2 * r + 2)
-        num, den = gap(base + x_next, base + y_r)
-        k = 2 * r + 1
-        if (9 * t * num) << k != ((1 << k) + 1) * (t - 3 * s) * den:
-            left = ev.dev_g(base + x_next) - ev.dev_g(base + y_r)
-            right = (1 + Fraction(1, 1 << (2 * r + 1))) * (third - vp) / 3
-            return _ce(right, left, p=p, r=r, identity="even-shift")
-        base = p << (2 * r + 1)
-        num, den = gap(base + x_r, base + y_r)
-        k = 2 * r
-        if (9 * t * num) << k != ((1 << k) - 1) * (3 * s - t) * den:
-            left = ev.dev_g(base + x_r) - ev.dev_g(base + y_r)
-            right = (1 - Fraction(1, 1 << (2 * r))) * (vp - third) / 3
-            return _ce(right, left, p=p, r=r, identity="odd-shift")
+        s, t = ev.dev_v(p).as_integer_ratio()
+        # g(base + offset) - g(base + y_r) = (1 + sign / 2**k) sign (1/3 - v(p)) / 3,
+        # the right side over 9t * 2**k for v(p) = s/t, the left over den
+        for name, base, offset, k, sign in (
+            ("even-shift", p << (2 * r + 2), x_next, 2 * r + 1, 1),
+            ("odd-shift", p << (2 * r + 1), x_r, 2 * r, -1),
+        ):
+            num, den = gap(base + offset, base + y_r)
+            right = ((1 << k) + sign) * sign * (t - 3 * s)
+            if (9 * t * num) << k != right * den:
+                expected = Fraction(right, (9 * t) << k)
+                return _ce(expected, Fraction(num, den), p=p, r=r, identity=name)
 
     return grid, identities
 
@@ -576,12 +551,13 @@ def _check_cor6(config, ev):
             (odd_base + y_prev, odd_base + x_r),
             (odd_base + (1 << (2 * r)) + x_r, odd_base + y_r),
         ):
-            a, b = ev.dev_g(smaller).as_integer_ratio()
-            c, d = ev.dev_g(larger).as_integer_ratio()
+            low, high = ev.dev_g(smaller), ev.dev_g(larger)
+            a, b = low.as_integer_ratio()
+            c, d = high.as_integer_ratio()
             if not a * d < c * b:
                 return _ce(
                     f"g({smaller}) < g({larger})",
-                    f"{_fmt(ev.dev_g(smaller))} vs {_fmt(ev.dev_g(larger))}",
+                    f"{_fmt(low)} vs {_fmt(high)}",
                     p=p,
                     r=r,
                 )
@@ -675,10 +651,11 @@ def _check_cor10(config, ev):
     members = frozenset(extremal.equality_set("G_THETA", config.max_n))
 
     def on_families(ev, n):
-        p, q = ev.dev_g(n).as_integer_ratio()
+        value = ev.dev_g(n)
+        p, q = value.as_integer_ratio()
         t, s = extremal.theta(n).as_integer_ratio()
         if (p * s == t * q) != (n in members):
-            return _ce("g = theta_n exactly on the rounded families", ev.dev_g(n), n=n)
+            return _ce("g = theta_n exactly on the rounded families", value, n=n)
 
     return _n_range(config, "COR10"), on_families
 
@@ -690,27 +667,18 @@ def _check_eq4(ev, n):
     The fast sums share one kernel, so the identity alone holds by
     algebra; G and U are also held against their envelopes minus the
     deviations, which come from independent evaluators.  All five values
-    are compared as integers over 3 * 2**m, m = floor_lg(n); a value
-    outside it or a mismatch re-runs them in exact Fraction arithmetic.
+    are compared as integers over 3 * 2**m, m = floor_lg(n).
     """
-    g, u, v = ev.sum_g(n), ev.sum_u(n), ev.sum_v(n)
-    dev_g, dev_u = ev.dev_g(n), ev.dev_u(n)
-    m = n.bit_length() - 1
-    nums = _numerators_over(3 << m, (g, u, v, dev_g, dev_u))
-    if nums is not None:
-        g_num, u_num, v_num, g_dev, u_dev = nums
-        identity, envelope = (n + 1) * v_num - u_num, (n * (n + 2) << m) - g_dev
-        if g_num == identity == envelope and u_num == ((n * n + n) << m) - u_dev:
-            return None
-    right = (n + 1) * v - u
-    if g != right:
-        return _ce(right, g, n=n)
-    from_dev = Fraction(n * (n + 2), 3) - dev_g
-    if g != from_dev:
-        return _ce(from_dev, g, n=n, function="G")
-    from_dev = Fraction(n * n + n, 3) - dev_u
-    if u != from_dev:
-        return _ce(from_dev, u, n=n, function="U")
+    values = (ev.sum_g(n), ev.sum_u(n), ev.sum_v(n), ev.dev_g(n), ev.dev_u(n))
+    (g, u, v, dev_g, dev_u), den = _over(3 << (n.bit_length() - 1), values)
+    for expected, actual, function in (
+        ((n + 1) * v - u, g, None),
+        (n * (n + 2) * (den // 3) - dev_g, g, "G"),
+        ((n * n + n) * (den // 3) - dev_u, u, "U"),
+    ):
+        if actual != expected:
+            named = {"function": function} if function else {}
+            return _ce(Fraction(expected, den), Fraction(actual, den), n=n, **named)
 
 
 @_claim("ORACLE_UVG", _scan_rows)

@@ -375,6 +375,25 @@ FAULTS = [
      "EQL21 fail checked=4 n=3 residue=0 expected=9/8 actual=3/8"),
     ("EQL21", "dev_v", shifted((3,), SEVENTH),
      "EQL21 fail checked=4 n=3 residue=0 expected=27/56 actual=3/8"),
+    # one row per EQ4_IDENTITY equality: G = (n+1)V - U, then G and U
+    # against their envelopes minus the deviations
+    ("EQ4_IDENTITY", "sum_g", shifted((5, 15), 1),
+     "EQ4_IDENTITY fail checked=5 n=5 expected=23/2 actual=25/2"),
+    ("EQ4_IDENTITY", "sum_g", shifted((5, 15), SEVENTH),
+     "EQ4_IDENTITY fail checked=5 n=5 expected=23/2 actual=163/14"),
+    ("EQ4_IDENTITY", "dev_g", shifted((5, 15), 1),
+     "EQ4_IDENTITY fail checked=5 n=5 function=G expected=21/2 actual=23/2"),
+    ("EQ4_IDENTITY", "dev_g", shifted((5, 15), SEVENTH),
+     "EQ4_IDENTITY fail checked=5 n=5 function=G expected=159/14 actual=23/2"),
+    ("EQ4_IDENTITY", "dev_u", shifted((5, 15), 1),
+     "EQ4_IDENTITY fail checked=5 n=5 function=U expected=10 actual=11"),
+    ("EQ4_IDENTITY", "dev_u", shifted((5, 15), SEVENTH),
+     "EQ4_IDENTITY fail checked=5 n=5 function=U expected=76/7 actual=11"),
+    # past max_n = 64 only the 64-bit random trials reach the corruption
+    ("P2C", "dev_v", lambda fn: lambda n: fn(n) + (1 if n > 64 else 0),
+     "P2C fail checked=65 n=11539916604017964272 expected=46/3 actual=223/3"),
+    ("P2C", "dev_v", lambda fn: lambda n: fn(n) + (SEVENTH if n > 64 else 0),
+     "P2C fail checked=65 n=11539916604017964272 expected=46/3 actual=499/21"),
     ("T5", "sum_v", shifted((5, 15), 1),
      "T5 fail checked=5 n=5 expected=<= 35/9 actual=19/4"),
     ("T5", "sum_v", shifted((5, 15), -1),
@@ -411,6 +430,20 @@ def test_corrupted_evaluator_fails_at_smallest_corrupted_argument(
     default = Evaluators()
     ev = dataclasses.replace(default, **{field: corrupt(getattr(default, field))})
     assert check(theorem, SMOKE, ev).line() == line
+
+
+# A float value is read exactly, by its as_integer_ratio, so a float-valued
+# dev_g fails at the first g(n) a float cannot hold: g(2) = 1/6, which EQL21
+# reads at n = 0 as g(4n + 2).
+@pytest.mark.parametrize(
+    "theorem, n, checked", [("EQ4_IDENTITY", 2, 2), ("EQL21", 0, 1)]
+)
+def test_float_valued_dev_g_fails_at_its_first_inexact_value(theorem, n, checked):
+    ev = dataclasses.replace(Evaluators(), dev_g=as_float(dev_g))
+    report = check(theorem, SMOKE, ev)
+    assert report.status == "fail"
+    assert dict(report.counterexample.inputs)["n"] == str(n)
+    assert report.checked_count == checked
 
 
 # The extremal functions that T3, COR7 and P10 hold against an oracle,
