@@ -95,14 +95,12 @@ def tilde(n: int) -> int:
 def round_pow2_over_3(m: int) -> int:
     """Nearest integer to 2**m / 3.
 
-    No tie is possible: 2**m is congruent to 1 or 2 mod 3, never a
-    half-odd multiple.  Computed by integer formula, never floats.
+    2**m is congruent to 1 or 2 mod 3, so adding 1 and flooring the
+    third gives the nearest integer, and no tie is possible.
     """
     if m < 0:
         raise DomainError("round_pow2_over_3 requires m >= 0")
-    if m % 2:
-        return ((1 << m) + 1) // 3
-    return ((1 << m) - 1) // 3
+    return ((1 << m) + 1) // 3
 
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")

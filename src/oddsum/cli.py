@@ -18,7 +18,8 @@ DECIMAL_DIGITS_CAP exits 3 before any work.  main() builds its
 parser on the first call and every later call in the process reuses it;
 build_parser() still returns a fresh one.
 Arguments are decimal or 0b-prefixed binary.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 resource cap exceeded.  The
+1 verification failure, 2 usage error, 3 resource cap exceeded, 141
+(128 + SIGPIPE) when the reader closes stdout early.  The
 interpreter's int/str digit limit (sys.get_int_max_str_digits()) is one
 such cap: a decimal argument, an echoed argument or an exact value
 beyond it exits 3 and names the way round it.
@@ -31,6 +32,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -294,11 +296,8 @@ def _cmd_table(args) -> int:
             )
     if args.start > args.stop:
         raise ValueError(f"inverted range: {args.start} > {args.stop}")
+    sums._check_brute_cap("the range to - from", args.stop - args.start)
     count = args.stop - args.start + 1
-    if count > sums.DEFAULT_BRUTE_CAP + 1:
-        raise ResourceLimitError(
-            f"range of {count} rows exceeds the scan cap {sums.DEFAULT_BRUTE_CAP}"
-        )
     if count * len(names) > TABLE_CELLS_CAP:
         raise ResourceLimitError(
             f"{count} rows of {len(names)} columns exceed {TABLE_CELLS_CAP}"
@@ -417,6 +416,12 @@ def main(argv: list[str] | None = None) -> int:
                 " significant digits (oddsum.cli.DECIMAL_DIGITS_CAP)"
             )
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader left: what is still buffered, and the last flush, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

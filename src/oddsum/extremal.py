@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
 from .deviations import dev_g, dev_v
-from .sums import DEFAULT_BRUTE_CAP, u_fast, v_fast
+from .sums import _check_brute_cap, u_fast, v_fast
 
 __all__ = [
     "EQUALITY_KINDS",
@@ -80,28 +80,11 @@ class ExtremalReport:
 
 
 def skeleton(r: int) -> SkeletonPair:
-    """The pair (x_r, y_r) by closed form, cross-checked on the way out.
-
-    The recurrence x_{r+1} = 4 x_r + 2, y_{r+1} = 4 y_r + 4 and the two
-    stated values v(x_r) = 2/9 - 2/(9 * 4**r), v(y_r) = 1/9 - 1/(9 * 4**r)
-    are re-verified on every call; they are cheap and guard the closed
-    form against typos forever.
-    """
+    """The pair (x_r, y_r) by closed form: x_r = (2/3)(4**r - 1), y_r = 2 x_r."""
     if r < 0:
         raise DomainError("skeleton requires r >= 0")
     x = 2 * ((1 << 2 * r) - 1) // 3
-    y = 2 * x
-    x_rec = 0
-    for _ in range(r):
-        x_rec = 4 * x_rec + 2
-    if x != x_rec:
-        raise RuntimeError(f"skeleton closed form disagrees with recurrence at r={r}")
-    pow4 = 1 << 2 * r
-    if dev_v(x) != Fraction(2 * (pow4 - 1), 9 * pow4):
-        raise RuntimeError(f"v(x_{r}) does not match its closed value")
-    if dev_v(y) != Fraction(pow4 - 1, 9 * pow4):
-        raise RuntimeError(f"v(y_{r}) does not match its closed value")
-    return SkeletonPair(r, x, y)
+    return SkeletonPair(r, x, 2 * x)
 
 
 def _peak_offsets(m: int) -> tuple[int, int]:
@@ -123,7 +106,7 @@ def lambda_block(n: int, m: int) -> Fraction:
     return max(dev_g(base + t) for t in _peak_offsets(m))
 
 
-def _block_g_numerators(n: int, m: int, cap: int) -> tuple[list[int], int]:
+def _block_g_numerators(n: int, m: int) -> tuple[list[int], int]:
     """g over the block {2**m n + t}, in offset order, as numerators over
     one common denominator 3 * 2**(floor_lg(n) + m).
 
@@ -137,8 +120,7 @@ def _block_g_numerators(n: int, m: int, cap: int) -> tuple[list[int], int]:
         raise DomainError("block_g_values requires n >= 1")
     if m < 0:
         raise DomainError("block_g_values requires m >= 0")
-    if (1 << m) > cap:
-        raise ResourceLimitError(f"block of 2^{m} values exceeds the scan cap {cap}")
+    _check_brute_cap("the block size 2**m", 1 << m)
     m0 = n.bit_length() - 1
     scale = 3 << m0
     g_nums = [int(dev_g(n) * scale)]
@@ -159,27 +141,27 @@ def _block_g_numerators(n: int, m: int, cap: int) -> tuple[list[int], int]:
     return g_nums, 3 << (m0 + m)
 
 
-def block_g_values(n: int, m: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Fraction]:
+def block_g_values(n: int, m: int) -> list[Fraction]:
     """Exact g over the block {2**m n + t}, in offset order, by scan.
 
     One Fraction per element, built from the integer block kernel, which
     grows the block level by level from (g(n), v(n)) by the doubling
     rules.  Independent of the closed form in lambda_block, so it can
     serve as its oracle.  Raises ResourceLimitError when the block has
-    more than cap elements.
+    more than DEFAULT_BRUTE_CAP elements.
     """
-    g_nums, denominator = _block_g_numerators(n, m, cap)
+    g_nums, denominator = _block_g_numerators(n, m)
     return [Fraction(g_num, denominator) for g_num in g_nums]
 
 
-def lambda_block_brute(n: int, m: int, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
+def lambda_block_brute(n: int, m: int) -> Fraction:
     """Literal maximum of g over the 2**m block, by full scan.
 
     Takes the maximum of the block kernel's integer numerators over
     their one common denominator and builds a single Fraction; it shares
     nothing with the two-candidate closed form in lambda_block.
     """
-    g_nums, denominator = _block_g_numerators(n, m, cap)
+    g_nums, denominator = _block_g_numerators(n, m)
     return Fraction(max(g_nums), denominator)
 
 
@@ -288,13 +270,10 @@ def perfect_mean_solutions(bound: int) -> list[int]:
     return equality_set("U_EVEN_UPPER", bound)
 
 
-def scan_g_below(
-    threshold: Fraction, bound: int, cap: int = DEFAULT_BRUTE_CAP
-) -> list[int]:
+def scan_g_below(threshold: Fraction, bound: int) -> list[int]:
     """All n <= bound with g(n) < threshold, strictly, by full scan."""
     if bound < 0:
         raise DomainError("scan_g_below requires bound >= 0")
-    if bound > cap:
-        raise ResourceLimitError(f"bound {bound} exceeds the scan cap {cap}")
+    _check_brute_cap("the scan bound", bound)
     limit = Fraction(threshold)
     return [n for n in range(1, bound + 1) if dev_g(n) < limit]

@@ -8,8 +8,8 @@ the 2-adic valuation of k.  The package studies
     G(n) = sum_{k<=n} (n+1-k)/k * alpha(k) = (n+1)*V(n) - U(n)
 
 Each sum has two evaluators: a brute one running the defining sum term
-by term (the oracle, O(n), guarded by a cap) and a fast one in closed
-form.  The doubling rules
+by term (the oracle, O(n), guarded by DEFAULT_BRUTE_CAP) and a fast one
+in closed form.  The doubling rules
 
     V(2n) = n + V(n)/2        V(2n+1) = n + 1 + V(n)/2
     U(2n) = n**2 + U(n)       U(2n+1) = (n+1)**2 + U(n)
@@ -45,6 +45,7 @@ from .deviations import _triple_u
 
 __all__ = [
     "CESARO_FUNCTIONS",
+    "CESARO_INV1PX_CAP",
     "CESARO_X2_WIDTH_CAP",
     "DEFAULT_BRUTE_CAP",
     "alpha",
@@ -59,6 +60,7 @@ __all__ = [
     "v_fast",
 ]
 
+# The one bound on every brute-force oracle and scan, read at each call
 DEFAULT_BRUTE_CAP = 1 << 22
 
 
@@ -69,44 +71,45 @@ def alpha(k: int) -> int:
     return k >> ((k & -k).bit_length() - 1)
 
 
-def _check_cap(terms: int, cap: int) -> None:
-    if terms > cap:
-        raise ResourceLimitError(f"{terms} terms exceed the brute-force cap {cap}")
+def _check_brute_cap(what: str, count: int) -> None:
+    if count > DEFAULT_BRUTE_CAP:  # not printed: it may pass the int/str digit limit
+        raise ResourceLimitError(
+            f"{what} is past DEFAULT_BRUTE_CAP = {DEFAULT_BRUTE_CAP}"
+            " (oddsum.sums.DEFAULT_BRUTE_CAP)"
+        )
 
 
-def v_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
+def v_brute(n: int) -> Fraction:
     """V(n) straight from the definition, one exact term per k."""
     if n <= 0:
         raise DomainError("v_brute requires n >= 1")
-    _check_cap(n, cap)
+    _check_brute_cap("the number of terms n", n)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction(alpha(k), k)
     return total
 
 
-def u_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
+def u_brute(n: int) -> int:
     """U(n) straight from the definition.  U(0) = 0 (empty sum)."""
     if n < 0:
         raise DomainError("u_brute requires n >= 0")
-    _check_cap(n, cap)
+    _check_brute_cap("the number of terms n", n)
     return sum(alpha(k) for k in range(1, n + 1))
 
 
-def g_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
+def g_brute(n: int) -> Fraction:
     """G(n) straight from the definition, triangular weights included."""
     if n <= 0:
         raise DomainError("g_brute requires n >= 1")
-    _check_cap(n, cap)
+    _check_brute_cap("the number of terms n", n)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction((n + 1 - k) * alpha(k), k)
     return total
 
 
-def scan_sums(
-    limit: int, cap: int = DEFAULT_BRUTE_CAP
-) -> Iterator[tuple[int, Fraction, int, Fraction]]:
+def scan_sums(limit: int) -> Iterator[tuple[int, Fraction, int, Fraction]]:
     """Yield (n, V(n), U(n), G(n)) for n = 1..limit by running the sums.
 
     The running V is held over one power-of-two denominator covering the
@@ -115,7 +118,7 @@ def scan_sums(
     """
     if limit <= 0:
         raise DomainError("scan_sums requires limit >= 1")
-    _check_cap(limit, cap)
+    _check_brute_cap("the scan limit", limit)
     scale_bits = limit.bit_length()
     v_num = 0
     u = 0
@@ -163,6 +166,10 @@ CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")
 # big-integer step per digit, and its cost grows about 5x per doubling
 # of the width (4.3 s at 2**14 bits on 2 cores, Python 3.11).
 CESARO_X2_WIDTH_CAP = 1 << 14
+
+# cesaro_mean("inv1px", n) refuses a larger n: _tree_sum reduces the product
+# of all n denominators (2.2 s at 2**16, 31 s at 2**18 on 2 cores, Python 3.11).
+CESARO_INV1PX_CAP = 1 << 16
 
 _CESARO_LIMITS = {
     "const1": Fraction(2, 3),
@@ -213,15 +220,15 @@ def _tree_sum(pairs: list[tuple[int, int]]) -> Fraction:
     return Fraction(*pairs[0])
 
 
-def cesaro_mean(function_id: str, n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
+def cesaro_mean(function_id: str, n: int) -> Fraction:
     """Exact mean (1/n) sum_{k<=n} f(k/n) alpha(k)/k for a built-in f.
 
     const1, x and x2 reduce to V(n)/n, U(n)/n**2 and W(n)/n**3.  const1
     and x run the fast kernels; x2 walks the digits of n, cubing the
     prefix at each, so its cost grows about 5x per doubling of the width,
     and it raises ResourceLimitError, before any work, for n wider than
-    CESARO_X2_WIDTH_CAP bits.  inv1px, meaning f(x) = 1/(1+x), is a
-    genuine O(n) sum of terms 1/(2**t (n+k)) and respects the brute cap.
+    CESARO_X2_WIDTH_CAP bits.  inv1px, meaning f(x) = 1/(1+x), sums n
+    terms 1/(2**t (n+k)) exactly and refuses n past CESARO_INV1PX_CAP.
     """
     if n <= 0:
         raise DomainError("cesaro_mean requires n >= 1")
@@ -237,8 +244,12 @@ def cesaro_mean(function_id: str, n: int, cap: int = DEFAULT_BRUTE_CAP) -> Fract
             )
         return Fraction(_sum_k_alpha(n), n**3)
     if function_id == "inv1px":
+        if n > CESARO_INV1PX_CAP:
+            raise ResourceLimitError(
+                "cesaro inv1px reduces the product of n denominators; n is capped"
+                f" at {CESARO_INV1PX_CAP} (oddsum.sums.CESARO_INV1PX_CAP)"
+            )
         # the 1/n prefactor cancels: (1/n) f(k/n) alpha(k)/k = 1/(2**t (n+k))
-        _check_cap(n, cap)
         terms = [(1, (n + k) << ((k & -k).bit_length() - 1)) for k in range(1, n + 1)]
         return _tree_sum(terms)
     raise ValueError(f"unknown cesaro function {function_id!r}")

@@ -557,6 +557,7 @@ GOLDEN = [
      '{"function": "inv1px", "n": 256, "mean": "0.462091",'
      ' "limit": "0.462098120373"}\n',
      "function,n,mean,limit\ninv1px,256,0.462091,0.462098120373\n"),
+    (("cesaro", "inv1px", "65537"), 3, "", "", ""),
     (("table", "V", "5", "5"), 0, "5 15/4\n", '[{"n": 5, "V": "15/4"}]\n',
      "n,V\n5,15/4\n"),
     (("table", "g,g", "1", "3"), 0, "1 0 0\n2 1/6 1/6\n3 0 0\n",
@@ -584,6 +585,18 @@ def test_every_command_and_format_byte_for_byte(
     got, out, err = run(capsys, *argv, "--format", fmt)
     assert (got, out) == (code, outputs[FORMATS.index(fmt)])
     assert (err == "") == (code < 2)
+
+
+# past DEFAULT_BRUTE_CAP, and past the int/str digit limit in decimal
+WIDE = "0b1" + "0" * 20000
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", ("scan g-below 1/4", "table g 1"))
+def test_brute_bound_past_the_digit_limit_exits_3(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), WIDE, "--format", fmt)
+    assert code == 3 and out == ""
+    assert "DEFAULT_BRUTE_CAP = 4194304 (oddsum.sums.DEFAULT_BRUTE_CAP)" in err
 
 
 def test_json_array_spans_chunks(capsys):
@@ -627,6 +640,29 @@ def test_table_json_streams_in_bounded_memory(tmp_path):
     assert text.startswith('[{"n": 1, "g": "0"}, {"n": 2, "g": "1/6"}, ')
     assert text.endswith(f'}}, {{"n": {rows}, "g": "{last}"}}]\n')
     assert text.count('{"n": ') == rows
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (("table", "g", "1", "100000"), "1 0\n"),
+        (("verify", "all", "--max-n", "4096", "--trials", "20", "--format", "csv"),
+         "theorem,status,checked,counterexample\n"),
+    ],
+    ids=("table", "verify"),
+)  # fmt: skip
+def test_closed_stdout_exits_141_quietly(argv, first_line):
+    # the reader takes one line and goes, as `| head -1` does
+    src = os.path.dirname(os.path.dirname(oddsum.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-c", FRESH, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as done:  # fmt: skip
+        assert done.stdout.readline() == first_line
+        done.stdout.close()
+        _, err = done.communicate(timeout=120)
+    assert (done.returncode, err) == (141, "")
 
 
 def test_table_over_cells_cap_exits_3_at_once(capsys, monkeypatch):
@@ -675,3 +711,12 @@ def test_cesaro_x2_past_its_width_cap_exits_3_at_once(capsys):
     # the other weights have no width cap: x is a closed form
     code, _, _ = run(capsys, "cesaro", "x", wide, "--decimal", "10")
     assert code == 0
+
+
+def test_cesaro_inv1px_past_its_cap_exits_3_at_once(capsys):
+    past_cap = str(sums.CESARO_INV1PX_CAP + 1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cesaro", "inv1px", past_cap, "--decimal", "10")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert str(sums.CESARO_INV1PX_CAP) in err and "CESARO_INV1PX_CAP" in err

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddsum import sums
 from oddsum.bitcore import DomainError, ResourceLimitError, round_pow2_over_3
-from oddsum.deviations import dev_g
+from oddsum.deviations import dev_g, dev_v
 from oddsum.extremal import (
     EQUALITY_KINDS,
     argmax_g,
@@ -35,6 +36,11 @@ def test_skeleton_closed_form_to_depth_64():
     for r in range(65):
         pair = skeleton(r)
         assert (pair.r, pair.x, pair.y) == (r, x, y)
+        # v(x_r) = 2/9 - 2/(9 * 4**r) and v(y_r) = 1/9 - 1/(9 * 4**r)
+        pow4 = 1 << 2 * r
+        assert (dev_v(x), dev_v(y)) == (
+            Fraction(2 * (pow4 - 1), 9 * pow4), Fraction(pow4 - 1, 9 * pow4)
+        )
         x, y = 4 * x + 2, 4 * y + 4
 
 
@@ -63,12 +69,13 @@ def test_lambda_block_examples():
         lambda_block(0, 3)
 
 
-def test_lambda_block_brute_matches_examples():
+def test_lambda_block_brute_matches_examples(monkeypatch):
     assert lambda_block_brute(1, 1) == Fraction(1, 6)
     assert lambda_block_brute(1, 2) == Fraction(1, 4)
     assert lambda_block_brute(3, 2) == Fraction(3, 8)
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 512)
     with pytest.raises(ResourceLimitError):
-        lambda_block_brute(1, 12, cap=512)
+        lambda_block_brute(1, 12)
 
 
 @settings(deadline=None)
@@ -100,13 +107,14 @@ def test_block_scan_maximum_is_the_closed_form():
             assert brute == lambda_block(n, m)
 
 
-def test_block_scan_cap_and_domain():
+def test_block_scan_cap_and_domain(monkeypatch):
     # a block of exactly cap elements is scanned, one more level is refused
-    assert len(block_g_values(3, 9, cap=512)) == 512
-    assert lambda_block_brute(3, 9, cap=512) == lambda_block(3, 9)
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 512)
+    assert len(block_g_values(3, 9)) == 512
+    assert lambda_block_brute(3, 9) == lambda_block(3, 9)
     for scan in (block_g_values, lambda_block_brute):
         with pytest.raises(ResourceLimitError):
-            scan(3, 10, cap=512)
+            scan(3, 10)
         with pytest.raises(DomainError):
             scan(0, 2)
         with pytest.raises(DomainError):
@@ -266,10 +274,11 @@ def test_perfect_mean_examples():
     assert perfect_mean_solutions(10**6)[-1] == (1 << 19) - 2
 
 
-def test_scan_g_below_examples():
+def test_scan_g_below_examples(monkeypatch):
     assert scan_g_below(Fraction(1, 4), 16) == [1, 2, 3, 5, 7, 11, 15]
     assert scan_g_below(Fraction(1, 10**6), 64) == [1, 3, 7, 15, 31, 63]
     assert scan_g_below(Fraction(1), 7) == [1, 2, 3, 4, 5, 6, 7]
     assert scan_g_below(Fraction(0), 100) == []
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 999)
     with pytest.raises(ResourceLimitError):
-        scan_g_below(Fraction(1, 4), 1000, cap=999)
+        scan_g_below(Fraction(1, 4), 1000)

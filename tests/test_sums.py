@@ -1,12 +1,20 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oddsum import sums
+from oddsum import cli, sums
 from oddsum.bitcore import DomainError, ResourceLimitError
 from oddsum.deviations import dev_g, dev_u, dev_v_recur
+from oddsum.extremal import (
+    block_g_values,
+    lambda_block,
+    lambda_block_brute,
+    scan_g_below,
+)
 from oddsum.sums import (
     CESARO_FUNCTIONS,
     alpha,
@@ -120,15 +128,58 @@ def test_scan_sums_agrees_pointwise():
     assert (n, u) == (512, 87382)
 
 
-def test_brute_caps():
+def test_brute_caps(monkeypatch):
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 99)
     with pytest.raises(ResourceLimitError):
-        v_brute(100, cap=99)
+        v_brute(100)
     with pytest.raises(ResourceLimitError):
-        u_brute(100, cap=99)
+        u_brute(100)
     with pytest.raises(ResourceLimitError):
-        g_brute(100, cap=99)
+        g_brute(100)
     with pytest.raises(ResourceLimitError):
-        list(scan_sums(100, cap=99))
+        list(scan_sums(100))
+
+
+def _table_lines(stop):
+    """`oddsum table g 1 stop` through its handler, so a refusal raises."""
+    args = cli.build_parser().parse_args(["table", "g", "1", str(stop)])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        args.handler(args)
+    return out.getvalue().count("\n")
+
+
+# each capped computation: (work of exactly 512, the same work one past it)
+AT_512 = {
+    "v_brute": (lambda: v_brute(512) == v_fast(512), lambda: v_brute(513)),
+    "u_brute": (lambda: u_brute(512) == u_fast(512), lambda: u_brute(513)),
+    "g_brute": (lambda: g_brute(512) == g_fast(512), lambda: g_brute(513)),
+    "scan_sums": (
+        lambda: len(list(scan_sums(512))) == 512, lambda: list(scan_sums(513))
+    ),
+    "block_g_values": (
+        lambda: len(block_g_values(3, 9)) == 512, lambda: block_g_values(3, 10)
+    ),
+    "lambda_block_brute": (
+        lambda: lambda_block_brute(3, 9) == lambda_block(3, 9),
+        lambda: lambda_block_brute(3, 10),
+    ),
+    "scan_g_below": (
+        lambda: len(scan_g_below(Fraction(2), 512)) == 512,
+        lambda: scan_g_below(Fraction(2), 513),
+    ),
+    # table's bound is DEFAULT_BRUTE_CAP + 1 rows: to - from at most the cap
+    "table": (lambda: _table_lines(513) == 513, lambda: _table_lines(514)),
+}
+
+
+@pytest.mark.parametrize("name", AT_512)
+def test_every_brute_bound_is_default_brute_cap_at_call_time(monkeypatch, name):
+    at_cap, past_cap = AT_512[name]
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 512)
+    assert at_cap()
+    message = r"is past DEFAULT_BRUTE_CAP = 512 \(oddsum\.sums\.DEFAULT_BRUTE_CAP\)$"
+    with pytest.raises(ResourceLimitError, match=message):
+        past_cap()
 
 
 def test_domains():
@@ -157,8 +208,6 @@ def test_cesaro_rejects_unknown_weight():
         cesaro_limit("cos")
     with pytest.raises(DomainError):
         cesaro_mean("x", 0)
-    with pytest.raises(ResourceLimitError):
-        cesaro_mean("inv1px", 100, cap=99)
 
 
 def test_cesaro_x2_width_cap_is_checked_at_its_edge(monkeypatch):
@@ -167,6 +216,14 @@ def test_cesaro_x2_width_cap_is_checked_at_its_edge(monkeypatch):
     assert cesaro_mean("x2", 255) == Fraction(w, 255**3)
     with pytest.raises(ResourceLimitError, match="CESARO_X2_WIDTH_CAP"):
         cesaro_mean("x2", 256)
+
+
+def test_cesaro_inv1px_cap_is_checked_at_its_edge(monkeypatch):
+    monkeypatch.setattr(sums, "CESARO_INV1PX_CAP", 99)
+    harmonic = sum(Fraction(alpha(k), k * (99 + k)) for k in range(1, 100))
+    assert cesaro_mean("inv1px", 99) == harmonic
+    with pytest.raises(ResourceLimitError, match="CESARO_INV1PX_CAP"):
+        cesaro_mean("inv1px", 100)
 
 
 def test_cesaro_means_match_literal_sums():
