@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bitcore import DomainError, reverse_digits
+from .bitcore import DomainError, dyadic_third, reverse_digits
 
 __all__ = [
     "dev_g",
@@ -137,9 +137,12 @@ def dev_v(n: int) -> Fraction:
         raise DomainError("dev_v requires n >= 0")
     if n == 0:
         return Fraction(0)
-    return Fraction(reverse_digits(n), 3 << (n.bit_length() - 1))
+    return dyadic_third(reverse_digits(n), n.bit_length() - 1)
 
 
+# The second evaluators, dev_u_closed and the brute oracles build their own
+# Fraction(num, den), so no check reads a value reduced by dyadic_third on both
+# sides; and a gcd against 3, as in dev_u, is linear already.
 def dev_v_recur(n: int) -> Fraction:
     """v(n) by the doubling rules, one digit at a time from the top."""
     if n < 0:
@@ -219,7 +222,7 @@ def dev_g(n: int) -> Fraction:
         g_num = (g_num << 8) + z * v_num + (y << level)
         v_num += r << (level + 1)
         level += 8
-    return Fraction(g_num, 3 << level)
+    return dyadic_third(g_num, level)
 
 
 def dev_g_closed(n: int) -> Fraction:
@@ -229,7 +232,7 @@ def dev_g_closed(n: int) -> Fraction:
     if n == 0:
         return Fraction(0)
     m = n.bit_length() - 1
-    return Fraction(((n - _triple_u(n)) << m) - (n + 1) * reverse_digits(n), 3 << m)
+    return dyadic_third(((n - _triple_u(n)) << m) - (n + 1) * reverse_digits(n), m)
 
 
 def dev_g_digit(n: int) -> Fraction:

@@ -27,9 +27,9 @@ of n, 3u = 2h(n >> 1) - e0*n):
 
 V(n) and G(n) are dyadic rationals (denominator dividing 2**floor_lg(n)),
 U(n) an integer; all arithmetic here is exact.  The fast evaluators do
-integer arithmetic only and build one Fraction at the end.  Their cost
-is that of h, O(M(m) log m) with M(m) the cost of an m-bit product,
-plus the reduction of that one Fraction.
+integer arithmetic only and build one Fraction at the end, reduced by
+bitcore.dyadic_third in time linear in the width.  Their cost is that
+of h, O(M(m) log m) with M(m) the cost of an m-bit product.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .bitcore import DomainError, ResourceLimitError, reverse_digits
+from .bitcore import DomainError, ResourceLimitError, dyadic_third, reverse_digits
 from .deviations import _triple_u
 
 __all__ = [
@@ -140,7 +140,7 @@ def v_fast(n: int) -> Fraction:
     if n <= 0:
         raise DomainError("v_fast requires n >= 1")
     m = n.bit_length() - 1
-    return Fraction((n << (m + 1)) + reverse_digits(n), 3 << m)
+    return dyadic_third((n << (m + 1)) + reverse_digits(n), m)
 
 
 def u_fast(n: int) -> int:
@@ -155,8 +155,8 @@ def g_fast(n: int) -> Fraction:
     if n <= 0:
         raise DomainError("g_fast requires n >= 1")
     m = n.bit_length() - 1
-    return Fraction(
-        ((n * n + n + _triple_u(n)) << m) + (n + 1) * reverse_digits(n), 3 << m
+    return dyadic_third(
+        ((n * n + n + _triple_u(n)) << m) + (n + 1) * reverse_digits(n), m
     )
 
 

@@ -75,9 +75,9 @@ __all__ = [
 # h(n >> 1), whose divide-and-conquer split needs n of 259 bits or more.
 _H_SPLIT_BITS = deviations._H_BASE_BITS + 4
 
-# At each cap the slowest checker takes 2 to 6 s and at most 87 MB on 2
+# At each cap the slowest checker takes 1 to 5 s and at most 60 MB on 2
 # cores, Python 3.11: P2C at max_n 2**20 (4.0 s), P10 at max_m 18 (1.7 s),
-# one trial of 16384 bits (5.7 s, nearly all in P2C; a trial costs at
+# one trial of 16384 bits (1.0 s, nearly all in P2C; a trial costs at
 # least its width squared); L2 and COR6 take 0.8 and 1.7 s on a grid of
 # GRID_CELLS_CAP cells at max_r 64.
 MAX_N_CAP = 1 << 20
@@ -438,7 +438,8 @@ def _check_p2c(config, ev):
     terms are summed as integers over that denominator and compared with
     2 * popcount(n) * 2**m.  The scan telescopes, S(n) = sum_p v(n >> p)
     over 3 * 2**m being v(n) + 2 S(n >> 1), so it evaluates v(n) alone,
-    having confirmed S(n >> 1) when it passed n >> 1.  A trial runs the full sum.
+    having confirmed S(n >> 1) when it passed n >> 1.  A trial adds v of
+    each prefix of n, shortest first, then v(n), 256 terms at a time.
     """
 
     def violation(n: int, total: int, den: int):
@@ -450,13 +451,14 @@ def _check_p2c(config, ev):
     def telescoped(ev, item):
         index, n = item
         m = n.bit_length() - 1
-        if index >= config.max_n:  # a trial
-            terms, x = [ev.dev_v(n)], n
-            while x:
-                terms.append(ev.dev_v(x))
-                x >>= 1
-            nums, den = _over(3 << m, terms)
-            return violation(n, sum(nums), den)
+        if index >= config.max_n:  # a trial: v of each prefix, then v(n)
+            total, den = 0, 3
+            terms = itertools.chain((n >> p for p in range(m, -1, -1)), (n,))
+            while chunk := [ev.dev_v(x) for x in itertools.islice(terms, 256)]:
+                # the next 256 prefixes gain at most 256 digits: den << 256 holds each v
+                nums, lcm = _over(den << 256, chunk)
+                total, den = total * (lcm // den) + sum(nums), lcm
+            return violation(n, total, den)
         (num,), den = _over(3 << m, (ev.dev_v(n),))
         total = num + 2 * prefix_sums[n >> 1] * (den // (3 << m))
         prefix_sums.append(total)

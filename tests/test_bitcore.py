@@ -1,10 +1,14 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oddsum import bitcore, deviations, sums
 from oddsum.bitcore import (
     DomainError,
+    dyadic_third,
     floor_lg,
     format_rational,
     hat,
@@ -117,3 +121,74 @@ def test_parse_rational_rejects_garbage():
     for bad in ("", "abc", "1/0", "1.5", "1/-2", "1/2/3"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+# m = floor_lg(n) for every width 1..600, so every width mod 8 and both sides
+# of the gcd fallback (_GCD_BITS) and of h's split, then 4k and 16k bits
+DYADIC_LEVELS = [*range(600), 4095, 16383]
+
+
+def _over_3_pow2(m: int, rng: random.Random) -> list[int]:
+    """Numerators over 3 * 2**m that exercise each step of the reduction.
+
+    Zero and negative ones; ones with more than m trailing zeros, as
+    dev_g's level padded to a multiple of 8 gives; multiples of 3 and 9;
+    and random ones as wide as the numerators of v, V and G at this m.
+    """
+    nums = [0, -1, 1 << m, 3 << m, -(9 << m), 3 << (m + 7), 1 << (m + 8)]
+    for width in (m + 1, 2 * m + 2, 3 * m + 3):
+        x = rng.getrandbits(width) | 1
+        nums += [x, -x, 3 * x, -9 * x, x << (m >> 1), 9 * x << (m + 5)]
+    return nums
+
+
+def _assert_lowest_terms_of(num: int, m: int, value: Fraction) -> None:
+    expected = Fraction(num, 3 << m)
+    assert type(value) is Fraction and value == expected, (num, m)
+    assert (value.numerator, value.denominator) == (
+        expected.numerator,
+        expected.denominator,
+    ), (num, m)
+    assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+    assert hash(value) == hash(expected), (num, m)
+
+
+def test_dyadic_third_is_the_reduced_fraction():
+    for m in DYADIC_LEVELS:
+        for num in _over_3_pow2(m, random.Random(m)):
+            _assert_lowest_terms_of(num, m, dyadic_third(num, m))
+
+
+def test_dyadic_third_fallback_gives_the_same_values(monkeypatch):
+    cases = [(num, m) for m in (0, 127, 128, 129, 255, 256, 600, 4095)
+             for num in _over_3_pow2(m, random.Random(m))]  # fmt: skip
+    fast = [dyadic_third(num, m) for num, m in cases]
+    # as on an interpreter whose Fraction has no constructor that skips the gcd
+    monkeypatch.setattr(bitcore, "_FROM_COPRIME", None)
+    for (num, m), value in zip(cases, fast):
+        slow = dyadic_third(num, m)
+        _assert_lowest_terms_of(num, m, slow)
+        assert (slow.numerator, slow.denominator) == (
+            value.numerator,
+            value.denominator,
+        )
+
+
+def test_fast_kernels_run_no_gcd_above_the_fallback_width(monkeypatch):
+    calls = []
+    gcd = math.gcd
+
+    def watched(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", watched)
+    assert Fraction(1 << 200, 3 << 200) == Fraction(1, 3) and calls  # it is seen
+    calls.clear()
+    rng = random.Random(7)
+    for bits in (bitcore._GCD_BITS + 1, 300, 4096):  # floor_lg(n) >= _GCD_BITS
+        n = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+        for kernel in (sums.v_fast, sums.g_fast, deviations.dev_v,
+                       deviations.dev_g_closed, deviations.dev_g):  # fmt: skip
+            kernel(n)
+    assert calls == []

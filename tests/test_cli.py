@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,10 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddsum
-from oddsum import cli, sums
+from oddsum import bitcore, cli, sums
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
-from oddsum.deviations import dev_v
+from oddsum.deviations import dev_g_digit, dev_v, dev_v_recur
 from oddsum.extremal import LAMBDA_M_CAP, lambda_m
 
 
@@ -720,3 +722,27 @@ def test_cesaro_inv1px_past_its_cap_exits_3_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert str(sums.CESARO_INV1PX_CAP) in err and "CESARO_INV1PX_CAP" in err
+
+
+def test_eval_and_table_print_lowest_terms_across_the_gcd_fallback(capsys):
+    # the printed V, G, v and g must be reduced: verify reads values through
+    # _over, which accepts an unreduced one, so only the output can show it
+    reference = {
+        "V": lambda n: Fraction(2 * n, 3) + dev_v_recur(n),
+        "G": lambda n: Fraction(n * (n + 2), 3) - dev_g_digit(n),
+        "v": dev_v_recur,
+        "g": dev_g_digit,
+    }
+    threshold = bitcore._GCD_BITS
+    for bits in (threshold - 1, threshold, threshold + 1, threshold + 2, 300, 601):
+        low = (1 << (bits - 1)) | random.Random(bits).getrandbits(bits - 1)
+        args = [str(n) for n in range(low, low + 12)]
+        code, out, _ = run(capsys, "table", ",".join(reference), args[0], args[-1])
+        assert code == 0
+        rows = dict(line.split(" ", 1) for line in out.splitlines())
+        for arg in args:
+            for (fn, evaluate), text in zip(reference.items(), rows[arg].split(" ")):
+                assert run(capsys, "eval", fn, arg)[1] == text + "\n"
+                p, _, q = text.partition("/")
+                assert math.gcd(int(p), int(q or 1)) == 1, (fn, arg)
+                assert Fraction(int(p), int(q or 1)) == evaluate(int(arg)), (fn, arg)
