@@ -136,9 +136,8 @@ def format_rational(value: Fraction | int) -> str:
     if type(value) is int:
         return str(value)
     f = value if isinstance(value, Fraction) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    p, q = f.as_integer_ratio()
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def parse_rational(text: str) -> Fraction:

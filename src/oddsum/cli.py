@@ -32,6 +32,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -164,9 +165,7 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
     try:
         return format_rational(value)
     except ValueError:  # str() of an int beyond the digit limit
-        raise digit_limit_error(
-            "the exact value", "print N significant digits with --decimal N"
-        ) from None
+        raise digit_limit_error("the exact value", _EXACT_REMEDY) from None
 
 
 def _check_printable(n: int, remedy: str, what: str = "the argument") -> None:
@@ -181,6 +180,7 @@ _ECHO_REMEDY = (
     "json and csv output repeat it in decimal; use --format plain, adding"
     " --decimal N if the value is as wide"
 )
+_EXACT_REMEDY = "print N significant digits with --decimal N"
 
 
 def _emit(args, columns, rows, lines, items=None) -> None:
@@ -276,9 +276,22 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _check_inv1px_printable(n: int) -> None:
+    """Refuse, before summing, an exact inv1px mean too wide to print: each prime
+    in [n+1, 2n] divides one term's denominator, 2**t p, alone, so the mean's."""
+    if n <= sums.CESARO_INV1PX_CAP:  # past it cesaro_mean refuses n at once
+        sieve = bytearray([1]) * (2 * n + 1)
+        for p in range(2, math.isqrt(2 * n) + 1):
+            sieve[p * p :: p] = bytes(len(range(p * p, 2 * n + 1, p)))
+        primes = math.prod(p for p in range(n + 1, 2 * n + 1) if sieve[p])
+        _check_printable(primes, _EXACT_REMEDY, "the exact value")
+
+
 def _cmd_cesaro(args) -> int:
     if args.format != "plain":
         _check_printable(args.n, _ECHO_REMEDY)
+    if args.function == "inv1px" and args.decimal is None:
+        _check_inv1px_printable(args.n)
     mean = _render(sums.cesaro_mean(args.function, args.n), args.decimal)
     exact = sums.cesaro_limit(args.function)  # None where _IRRATIONAL_LIMITS has it
     limit = _IRRATIONAL_LIMITS.get(args.function) or _render(exact, args.decimal)

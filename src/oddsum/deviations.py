@@ -131,13 +131,21 @@ _G_STEP = _chunk_table(_g_digit, (0, 0, 0))
 _U_STEP = _chunk_table(_u_digit, (0, 0))
 
 
-def dev_v(n: int) -> Fraction:
-    """v(n) by the digit formula: reversed binary digits over 3 * 2**m."""
+def _dyadic(pair: tuple[int, int]) -> Fraction:
+    """num / den for a core's (num, den), den = 3 * 2**m, in lowest terms."""
+    return dyadic_third(pair[0], pair[1].bit_length() - 2)
+
+
+def _dev_v_core(n: int) -> tuple[int, int]:
+    """v(n) as (reverse(n), 3 * 2**m), unreduced; (0, 3) at n = 0."""
     if n < 0:
         raise DomainError("dev_v requires n >= 0")
-    if n == 0:
-        return Fraction(0)
-    return dyadic_third(reverse_digits(n), n.bit_length() - 1)
+    return (reverse_digits(n), 3 << (n.bit_length() - 1)) if n else (0, 3)
+
+
+def dev_v(n: int) -> Fraction:
+    """v(n) by the digit formula: reversed binary digits over 3 * 2**m."""
+    return _dyadic(_dev_v_core(n))
 
 
 # The second evaluators, dev_u_closed and the brute oracles build their own
@@ -156,8 +164,8 @@ def dev_v_recur(n: int) -> Fraction:
     return Fraction(num, 3 << m)
 
 
-def dev_u(n: int) -> Fraction:
-    """u(n) by the doubling rule, carrying the integer 3*u, 8 digits per step."""
+def _dev_u_core(n: int) -> tuple[int, int]:
+    """u(n) as (3u, 3), by the doubling rule, 8 digits per step."""
     if n < 0:
         raise DomainError("dev_u requires n >= 0")
     prefix = triple = 0  # triple is 3 * u(prefix)
@@ -165,7 +173,12 @@ def dev_u(n: int) -> Fraction:
         a, b = _U_STEP[c]
         triple += a * prefix + b
         prefix = (prefix << 8) | c
-    return Fraction(triple, 3)
+    return triple, 3
+
+
+def dev_u(n: int) -> Fraction:
+    """u(n) by the doubling rule, carrying the integer 3*u, 8 digits per step."""
+    return Fraction(*_dev_u_core(n))
 
 
 def _h_low(n: int, k: int) -> int:
@@ -212,8 +225,8 @@ def dev_u_closed(n: int) -> Fraction:
     return Fraction(_triple_u(n), 3)
 
 
-def dev_g(n: int) -> Fraction:
-    """g(n) by the doubling rules, carrying v alongside, 8 digits per step."""
+def _dev_g_core(n: int) -> tuple[int, int]:
+    """g(n) as (num, 3 * 2**m), m = floor_lg(n); (0, 3) at n = 0."""
     if n < 0:
         raise DomainError("dev_g requires n >= 0")
     g_num = v_num = level = 0  # g and v of the prefix, scaled by 3 * 2**level
@@ -222,7 +235,15 @@ def dev_g(n: int) -> Fraction:
         g_num = (g_num << 8) + z * v_num + (y << level)
         v_num += r << (level + 1)
         level += 8
-    return dyadic_third(g_num, level)
+    drop = level + 1 - n.bit_length() if n else 0  # the byte padding's zeros
+    if g_num & ((1 << drop) - 1):  # off the 3 * 2**m grid: a corrupted table
+        drop = 0
+    return g_num >> drop, 3 << (level - drop)
+
+
+def dev_g(n: int) -> Fraction:
+    """g(n) by the doubling rules, carrying v alongside, 8 digits per step."""
+    return _dyadic(_dev_g_core(n))
 
 
 def dev_g_closed(n: int) -> Fraction:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
-from .deviations import dev_g, dev_v
+from .deviations import _dev_g_core, dev_g, dev_v
 from .sums import _check_brute_cap, u_fast, v_fast
 
 __all__ = [
@@ -275,5 +275,6 @@ def scan_g_below(threshold: Fraction, bound: int) -> list[int]:
     if bound < 0:
         raise DomainError("scan_g_below requires bound >= 0")
     _check_brute_cap("the scan bound", bound)
-    limit = Fraction(threshold)
-    return [n for n in range(1, bound + 1) if dev_g(n) < limit]
+    p, q = Fraction(threshold).as_integer_ratio()
+    ns = range(1, bound + 1)  # g(n) = num/den < p/q, cross-multiplied: den, q > 0
+    return [n for n, (num, den) in zip(ns, map(_dev_g_core, ns)) if num * q < p * den]

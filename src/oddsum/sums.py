@@ -40,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .bitcore import DomainError, ResourceLimitError, dyadic_third, reverse_digits
-from .deviations import _triple_u
+from .bitcore import DomainError, ResourceLimitError, reverse_digits
+from .deviations import _dyadic, _triple_u
 
 __all__ = [
     "CESARO_FUNCTIONS",
@@ -135,12 +135,17 @@ def scan_sums(limit: int) -> Iterator[tuple[int, Fraction, int, Fraction]]:
         )
 
 
-def v_fast(n: int) -> Fraction:
-    """V(n) = 2n/3 + v(n), with v the digit reversal over 3 * 2**m."""
+def _v_fast_core(n: int) -> tuple[int, int]:
+    """V(n) as (num, 3 * 2**m), unreduced."""
     if n <= 0:
         raise DomainError("v_fast requires n >= 1")
     m = n.bit_length() - 1
-    return dyadic_third((n << (m + 1)) + reverse_digits(n), m)
+    return (n << (m + 1)) + reverse_digits(n), 3 << m
+
+
+def v_fast(n: int) -> Fraction:
+    """V(n) = 2n/3 + v(n), with v the digit reversal over 3 * 2**m."""
+    return _dyadic(_v_fast_core(n))
 
 
 def u_fast(n: int) -> int:
@@ -150,14 +155,17 @@ def u_fast(n: int) -> int:
     return (n * n + n - _triple_u(n)) // 3
 
 
-def g_fast(n: int) -> Fraction:
-    """G(n) = n(n+2)/3 - g(n), with g = n/3 - (n+1) v(n) - u(n)."""
+def _g_fast_core(n: int) -> tuple[int, int]:
+    """G(n) as (num, 3 * 2**m), unreduced."""
     if n <= 0:
         raise DomainError("g_fast requires n >= 1")
     m = n.bit_length() - 1
-    return dyadic_third(
-        ((n * n + n + _triple_u(n)) << m) + (n + 1) * reverse_digits(n), m
-    )
+    return ((n * n + n + _triple_u(n)) << m) + (n + 1) * reverse_digits(n), 3 << m
+
+
+def g_fast(n: int) -> Fraction:
+    """G(n) = n(n+2)/3 - g(n), with g = n/3 - (n+1) v(n) - u(n)."""
+    return _dyadic(_g_fast_core(n))
 
 
 CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")

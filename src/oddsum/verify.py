@@ -28,11 +28,13 @@ before any checker runs: MAX_N_CAP, MAX_M_CAP and MAX_R_CAP bound one
 field each, GRID_CELLS_CAP the (r, p) grid and TRIAL_WORK_CAP the trials
 times the square of their width.
 
-Verdicts are integer arithmetic: a checker cross-multiplies the
-numerators and denominators of its values (as_integer_ratio, exact for
-ints, Fractions and floats) or brings them over one common denominator,
-widened for a value outside it.  A failure is reported from the same
-integers; Fractions are built only to write that report.
+Verdicts are integer arithmetic.  While an Evaluators field is a shipped
+Fraction kernel, _read calls its integer core, found by identity in
+_CORES, which returns (num, den) with den = 3 * 2**m (3 for dev_u); a
+replaced field is called as given and read by as_integer_ratio.  A
+checker cross-multiplies these integers or brings them over one common
+denominator, widened for a value outside it.  A failure reports what a
+replaced field returned; Fractions are built only to write a report.
 
 All checkers read their evaluators from an Evaluators bundle rather
 than calling module functions directly.  Swapping in a corrupted
@@ -181,9 +183,7 @@ class VerifyReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
+    return format_rational(value) if isinstance(value, Fraction) else str(value)
 
 
 def _ce(expected, actual, **inputs) -> Counterexample:
@@ -205,20 +205,40 @@ def _random_args(config: RangeConfig, theorem: str, wide_bits: int = 0) -> list[
     return args
 
 
-def _over(denominator: int, values) -> tuple[list[int], int]:
-    """The values as integer numerators over one common denominator.
+# Each shipped kernel's integer core, keyed by the function: never a wrapper
+_CORES = {
+    sums.v_fast: sums._v_fast_core,
+    sums.g_fast: sums._g_fast_core,
+    deviations.dev_v: deviations._dev_v_core,
+    deviations.dev_u: deviations._dev_u_core,
+    deviations.dev_g: deviations._dev_g_core,
+}
 
-    That is denominator itself when it is a multiple of every value's
-    denominator, as for every uncorrupted evaluator, and otherwise their
-    least common multiple.  Ints, Fractions and floats are read exactly.
-    """
+
+def _read(field: Callable, n: int) -> tuple[int, int, object]:
+    """field(n) as (num, den, value): a shipped kernel's core and None, or
+    the returned value's as_integer_ratio() and the value, for a report."""
+    core = _CORES.get(field)
+    if core is None:
+        value = field(n)
+        return (*value.as_integer_ratio(), value)
+    num, den = core(n)
+    return num, den, None
+
+
+def _shown(num: int, den: int, value):
+    """What a report shows for a read: the value returned, or the core's Fraction."""
+    return Fraction(num, den) if value is None else value
+
+
+def _over(denominator: int, reads) -> tuple[list[int], int]:
+    """The (num, den, value) reads as numerators over denominator, which every
+    shipped kernel's den divides, or else over the lcm of it and each den."""
     nums = []
-    for value in values:
-        p, q = value.as_integer_ratio()
+    for p, q, _ in reads:
         scale, rest = divmod(denominator, q)
         if rest:
-            lcm = math.lcm(denominator, *(x.as_integer_ratio()[1] for x in values))
-            return _over(lcm, values)
+            return _over(math.lcm(denominator, *(read[1] for read in reads)), reads)
         nums.append(p * scale)
     return nums, denominator
 
@@ -294,13 +314,12 @@ def _claim(theorem: str, domain=None):
 @_claim("P1B", _n_range)
 def _check_p1b(ev, n):
     """2n/3 < V(n) < (2n+2)/3, strictly, for every n."""
-    value = ev.sum_v(n)
-    p, q = value.as_integer_ratio()
+    p, q, raw = _read(ev.sum_v, n)
     if not 2 * n * q < 3 * p < (2 * n + 2) * q:
         return _ce(
             f"strictly between {_fmt(Fraction(2 * n, 3))} and"
             f" {_fmt(Fraction(2 * n + 2, 3))}",
-            3 * value / 3,  # an int value reports as a float, e.g. 3.0
+            3 * _shown(p, q, raw) / 3,  # an int value reports as a float, e.g. 3.0
             n=n,
         )
 
@@ -308,22 +327,19 @@ def _check_p1b(ev, n):
 @_claim("COR3", _n_range)
 def _check_cor3(ev, n):
     """v sits in (0, 1/3) at even arguments and (1/3, 2/3) at odd ones."""
-    even = ev.dev_v(2 * n)
-    p, q = even.as_integer_ratio()
+    p, q, raw = _read(ev.dev_v, 2 * n)
     if not (0 < p and 3 * p < q):
-        return _ce("in (0, 1/3)", even, n=2 * n)
-    odd = ev.dev_v(2 * n + 1)
-    p, q = odd.as_integer_ratio()
+        return _ce("in (0, 1/3)", _shown(p, q, raw), n=2 * n)
+    p, q, raw = _read(ev.dev_v, 2 * n + 1)
     if not q < 3 * p < 2 * q:
-        return _ce("in (1/3, 2/3)", odd, n=2 * n + 1)
+        return _ce("in (1/3, 2/3)", _shown(p, q, raw), n=2 * n + 1)
 
 
 @_claim("COR4", _n_range)
 def _check_cor4(ev, n):
     """Block bounds of v on I_m, sharp exactly at 2^m and 2^(m+1)-1."""
     m = n.bit_length() - 1
-    value = ev.dev_v(n)
-    p, q = value.as_integer_ratio()
+    p, q, raw = _read(ev.dev_v, n)
     # value and both bounds over 3n * 2**m, times q
     scaled = (3 * n << m) * p
     low_q, high_q = n * q, (((2 * n - 2) << m) + 1) * q
@@ -331,7 +347,7 @@ def _check_cor4(ev, n):
     is_top = n == (2 << m) - 1
     if in_range and at_low == _is_pow2(n) and (scaled == high_q) == is_top:
         return None
-    low = Fraction(1, 3 << m)
+    low, value = Fraction(1, 3 << m), _shown(p, q, raw)
     high = Fraction(2, 3) - Fraction((2 << m) - 1, (3 * n) << m)
     if not in_range:
         return _ce(f"in [{_fmt(low)}, {_fmt(high)}]", value, n=n)
@@ -343,14 +359,16 @@ def _check_cor4(ev, n):
 @_claim("T5", _n_range)
 def _check_t5(ev, n):
     """Sharp bracketing of V; equality iff n resp. n+1 is a power of two."""
-    value = ev.sum_v(n)
-    p, q = value.as_integer_ratio()
+    p, q, raw = _read(ev.sum_v, n)
     low_gap = 3 * n * p - (2 * n * n + 1) * q
+    high_gap = 2 * n * (n + 2) * q - 3 * (n + 1) * p
+    if low_gap > 0 and high_gap > 0 and not (_is_pow2(n) or _is_pow2(n + 1)):
+        return None
+    value = _shown(p, q, raw)
     if low_gap < 0:
         return _ce(f">= {_fmt(Fraction(2 * n * n + 1, 3 * n))}", value, n=n)
     if (low_gap == 0) != _is_pow2(n):
         return _ce("lower equality iff n = 2^m", value, n=n)
-    high_gap = 2 * n * (n + 2) * q - 3 * (n + 1) * p
     if high_gap < 0:
         return _ce(f"<= {_fmt(Fraction(2 * n * (n + 2), 3 * (n + 1)))}", value, n=n)
     if (high_gap == 0) != _is_pow2(n + 1):
@@ -404,30 +422,28 @@ def _check_t2(ev, n):
 @_claim("P4B", _n_range)
 def _check_p4b(ev, n):
     """n(n + 7/4)/3 <= G(n) <= n(n+2)/3 for every n."""
-    value = ev.sum_g(n)
-    p, q = value.as_integer_ratio()
+    p, q, raw = _read(ev.sum_g, n)
     if 12 * p < (4 * n * n + 7 * n) * q:
-        return _ce(f">= {_fmt(Fraction(4 * n * n + 7 * n, 12))}", value, n=n)
+        return _ce(f">= {_fmt(Fraction(n * (4 * n + 7), 12))}", _shown(p, q, raw), n=n)
     if 3 * p > n * (n + 2) * q:
-        return _ce(f"<= {_fmt(Fraction(n * (n + 2), 3))}", value, n=n)
+        return _ce(f"<= {_fmt(Fraction(n * (n + 2), 3))}", _shown(p, q, raw), n=n)
 
 
 @_claim("P5C", _n_range)
 def _check_p5c(ev, n):
     """0 <= g(n) <= floor_lg(n)/3."""
-    value = ev.dev_g(n)
+    p, q, raw = _read(ev.dev_g, n)
     m = n.bit_length() - 1
-    p, q = value.as_integer_ratio()
     if not (0 <= p and 3 * p <= m * q):
-        return _ce(f"in [0, {_fmt(Fraction(m, 3))}]", value, n=n)
+        return _ce(f"in [0, {_fmt(Fraction(m, 3))}]", _shown(p, q, raw), n=n)
 
 
 @_claim("COR5", _n_range)
 def _check_cor5(ev, n):
     """g vanishes exactly on the all-ones integers 2^r - 1."""
-    value = ev.dev_g(n)
-    if (value.as_integer_ratio()[0] == 0) != _is_all_ones(n):
-        return _ce("0 exactly iff n = 2^r - 1", value, n=n)
+    p, q, raw = _read(ev.dev_g, n)
+    if (p == 0) != _is_all_ones(n):
+        return _ce("0 exactly iff n = 2^r - 1", _shown(p, q, raw), n=n)
 
 
 @_claim("P2C")
@@ -454,12 +470,12 @@ def _check_p2c(config, ev):
         if index >= config.max_n:  # a trial: v of each prefix, then v(n)
             total, den = 0, 3
             terms = itertools.chain((n >> p for p in range(m, -1, -1)), (n,))
-            while chunk := [ev.dev_v(x) for x in itertools.islice(terms, 256)]:
+            while chunk := [_read(ev.dev_v, x) for x in itertools.islice(terms, 256)]:
                 # the next 256 prefixes gain at most 256 digits: den << 256 holds each v
                 nums, lcm = _over(den << 256, chunk)
                 total, den = total * (lcm // den) + sum(nums), lcm
             return violation(n, total, den)
-        (num,), den = _over(3 << m, (ev.dev_v(n),))
+        (num,), den = _over(3 << m, (_read(ev.dev_v, n),))
         total = num + 2 * prefix_sums[n >> 1] * (den // (3 << m))
         prefix_sums.append(total)
         return violation(n, num + total, den)
@@ -470,21 +486,17 @@ def _check_p2c(config, ev):
 @_claim("P2D", _n_range_and_trials(1))
 def _check_p2d(ev, n):
     """Complement symmetry: v(n) + v(hat(n)) = 2/3."""
-    left, right = ev.dev_v(n), ev.dev_v(hat(n))
-    a, b = left.as_integer_ratio()
-    c, d = right.as_integer_ratio()
+    (a, b, left), (c, d, right) = _read(ev.dev_v, n), _read(ev.dev_v, hat(n))
     if 3 * (a * d + c * b) != 2 * b * d:
-        return _ce(Fraction(2, 3), left + right, n=n)
+        return _ce(Fraction(2, 3), _shown(a, b, left) + _shown(c, d, right), n=n)
 
 
 @_claim("P6B", _n_range_and_trials(1))
 def _check_p6b(ev, n):
     """Reflection symmetry: g(n) = g(tilde(n))."""
-    left, right = ev.dev_g(n), ev.dev_g(tilde(n))
-    a, b = left.as_integer_ratio()
-    c, d = right.as_integer_ratio()
+    (a, b, left), (c, d, right) = _read(ev.dev_g, n), _read(ev.dev_g, tilde(n))
     if a * d != c * b:
-        return _ce(right, left, n=n)
+        return _ce(_shown(c, d, right), _shown(a, b, left), n=n)
 
 
 @_claim("EQL21", _n_range_and_trials(0))
@@ -495,7 +507,8 @@ def _check_eql21(ev, n):
     3 * 2**(m+2), so all six values are brought over the latter and the
     four rules compared as integers.
     """
-    values = [ev.dev_g(n), ev.dev_v(n)] + [ev.dev_g(4 * n + r) for r in range(4)]
+    values = [_read(ev.dev_g, n), _read(ev.dev_v, n)]
+    values += [_read(ev.dev_g, 4 * n + r) for r in range(4)]
     m = max(n.bit_length() - 1, 0)  # n = 0 fits the n = 1 denominators
     (g, v, *actuals), den = _over(12 << m, values)
     # four times each rule, over den: 4 * 1/6 is 2 * den / 3
@@ -513,14 +526,13 @@ def _check_l2(config, ev):
 
     def gap(a: int, b: int) -> tuple[int, int]:
         """g(a) - g(b) as an unreduced numerator and denominator."""
-        c, d = ev.dev_g(a).as_integer_ratio()
-        e, f = ev.dev_g(b).as_integer_ratio()
+        (c, d, _), (e, f, _) = _read(ev.dev_g, a), _read(ev.dev_g, b)
         return c * f - e * d, d * f
 
     def identities(ev, item):
         r, p = item
         x_r, y_r, x_next = pairs[r].x, pairs[r].y, pairs[r + 1].x
-        s, t = ev.dev_v(p).as_integer_ratio()
+        s, t, _ = _read(ev.dev_v, p)
         # g(base + offset) - g(base + y_r) = (1 + sign / 2**k) sign (1/3 - v(p)) / 3,
         # the right side over 9t * 2**k for v(p) = s/t, the left over den
         for name, base, offset, k, sign in (
@@ -553,13 +565,12 @@ def _check_cor6(config, ev):
             (odd_base + y_prev, odd_base + x_r),
             (odd_base + (1 << (2 * r)) + x_r, odd_base + y_r),
         ):
-            low, high = ev.dev_g(smaller), ev.dev_g(larger)
-            a, b = low.as_integer_ratio()
-            c, d = high.as_integer_ratio()
+            a, b, low = _read(ev.dev_g, smaller)
+            c, d, high = _read(ev.dev_g, larger)
             if not a * d < c * b:
                 return _ce(
                     f"g({smaller}) < g({larger})",
-                    f"{_fmt(low)} vs {_fmt(high)}",
+                    f"{_fmt(_shown(a, b, low))} vs {_fmt(_shown(c, d, high))}",
                     p=p,
                     r=r,
                 )
@@ -604,30 +615,30 @@ def _check_cor7(ev, m):
 @_claim("COR8", _n_range)
 def _check_cor8(ev, n):
     """Chain 0 <= g(n) <= theta_n <= floor_lg(n)/9 + 1/18."""
-    value = ev.dev_g(n)
+    p, q, raw = _read(ev.dev_g, n)
     bound = extremal.theta(n)
     m = n.bit_length() - 1
-    p, q = value.as_integer_ratio()
     t, s = bound.as_integer_ratio()
     if not (0 <= p and p * s <= t * q and 18 * t <= (2 * m + 1) * s):
-        return _ce(
-            f"0 <= g <= {_fmt(bound)} <= {_fmt(Fraction(2 * m + 1, 18))}", value, n=n
-        )
+        expected = f"0 <= g <= {_fmt(bound)} <= {_fmt(Fraction(2 * m + 1, 18))}"
+        return _ce(expected, _shown(p, q, raw), n=n)
 
 
 @_claim("P10", _m_range)
 def _check_p10(ev, m):
     """Extrema of g on I_m localized: min 0 once, max at the two points."""
-    values = extremal.block_g_values(1, m)
-    best, low = max(values), min(values)
-    base = 1 << m
-    max_points = tuple(base + t for t, val in enumerate(values) if val == best)
-    min_points = tuple(base + t for t, val in enumerate(values) if val == low)
+    nums = extremal.block_g_values(1, m)
+    den, base = math.lcm(3 << m, *(g.denominator for g in nums)), 1 << m
+    for t, g in enumerate(nums):  # in place: each Fraction is freed once read
+        nums[t] = g.numerator * (den // g.denominator)
+    best, low = max(nums), min(nums)
+    max_points = tuple(base + t for t, num in enumerate(nums) if num == best)
+    min_points = tuple(base + t for t, num in enumerate(nums) if num == low)
     report = extremal.argmax_g(m)
     ok = (
         low == 0 == report.min_value
         and min_points == report.min_points
-        and best == report.max_value
+        and Fraction(best, den) == report.max_value
         and max_points == report.max_points
     )
     if m >= 2:
@@ -641,8 +652,8 @@ def _check_p10(ev, m):
         f" min 0 at {','.join(map(str, report.min_points))}"
     )
     actual = (
-        f"max {_fmt(best)} at {','.join(map(str, max_points))},"
-        f" min {_fmt(low)} at {','.join(map(str, min_points))}"
+        f"max {_fmt(Fraction(best, den))} at {','.join(map(str, max_points))},"
+        f" min {_fmt(Fraction(low, den))} at {','.join(map(str, min_points))}"
     )
     return _ce(expected, actual, m=m)
 
@@ -653,11 +664,11 @@ def _check_cor10(config, ev):
     members = frozenset(extremal.equality_set("G_THETA", config.max_n))
 
     def on_families(ev, n):
-        value = ev.dev_g(n)
-        p, q = value.as_integer_ratio()
+        p, q, raw = _read(ev.dev_g, n)
         t, s = extremal.theta(n).as_integer_ratio()
         if (p * s == t * q) != (n in members):
-            return _ce("g = theta_n exactly on the rounded families", value, n=n)
+            shown = _shown(p, q, raw)
+            return _ce("g = theta_n exactly on the rounded families", shown, n=n)
 
     return _n_range(config, "COR10"), on_families
 
@@ -671,7 +682,7 @@ def _check_eq4(ev, n):
     deviations, which come from independent evaluators.  All five values
     are compared as integers over 3 * 2**m, m = floor_lg(n).
     """
-    values = (ev.sum_g(n), ev.sum_u(n), ev.sum_v(n), ev.dev_g(n), ev.dev_u(n))
+    values = [_read(f, n) for f in (ev.sum_g, ev.sum_u, ev.sum_v, ev.dev_g, ev.dev_u)]
     (g, u, v, dev_g, dev_u), den = _over(3 << (n.bit_length() - 1), values)
     for expected, actual, function in (
         ((n + 1) * v - u, g, None),
@@ -686,16 +697,12 @@ def _check_eq4(ev, n):
 @_claim("ORACLE_UVG", _scan_rows)
 def _check_oracle(ev, row):
     """Closed-form evaluators agree with the defining sums, term by term."""
-    n, v_ref, u_ref, g_ref = row
-    fast_v = ev.sum_v(n)
-    if fast_v != v_ref:
-        return _ce(v_ref, fast_v, n=n, function="V")
-    fast_u = ev.sum_u(n)
-    if fast_u != u_ref:
-        return _ce(u_ref, fast_u, n=n, function="U")
-    fast_g = ev.sum_g(n)
-    if fast_g != g_ref:
-        return _ce(g_ref, fast_g, n=n, function="G")
+    n, *refs = row
+    for function, field, ref in zip("VUG", (ev.sum_v, ev.sum_u, ev.sum_g), refs):
+        p, q, raw = _read(field, n)
+        a, b = ref.as_integer_ratio()
+        if p * b != a * q:
+            return _ce(ref, _shown(p, q, raw), n=n, function=function)
 
 
 THEOREM_IDS = tuple(_SETUPS)

@@ -294,6 +294,33 @@ def test_eval_alpha_json_over_digit_limit_exits_3(capsys):
 
 
 @needs_digit_limit
+def test_cesaro_inv1px_too_wide_to_print_exits_3_before_summing(capsys, monkeypatch):
+    summed = sums.cesaro_mean
+
+    def refused(function_id, n):
+        raise AssertionError(f"summed the {function_id} mean at {n}")
+
+    monkeypatch.setattr(sums, "cesaro_mean", refused)
+    for n in (10_000, 16_384, sums.CESARO_INV1PX_CAP):
+        code, out, err = run(capsys, "cesaro", "inv1px", str(n))
+        assert_digit_limit_exit(code, out, err, "--decimal N")
+    # every prime in [n+1, 2n] divides the denominator, which is wider still
+    for n in (10_000, 16_384):
+        assert summed("inv1px", n).denominator >= 10**DIGIT_LIMIT
+    # with no limit, nothing is refused before summing
+    monkeypatch.setattr(sums, "cesaro_mean", lambda function_id, n: Fraction(1, 3))
+    monkeypatch.setattr(cli, "str_digit_limit", lambda: 0)
+    code, out, _ = run(capsys, "cesaro", "inv1px", str(sums.CESARO_INV1PX_CAP))
+    assert code == 0 and out == "mean 1/3 limit 0.462098120373\n"
+    # a mean that prints still does
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "cesaro", "inv1px", "4000")
+    mean = summed("inv1px", 4000)
+    assert code == 0
+    assert out == f"mean {mean.numerator}/{mean.denominator} limit 0.462098120373\n"
+
+
+@needs_digit_limit
 def test_decimal_argument_over_digit_limit_exits_3(capsys):
     numeral = "7" * (DIGIT_LIMIT + 1)
     code, out, err = run(capsys, "eval", "V", numeral)

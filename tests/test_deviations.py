@@ -312,3 +312,43 @@ def test_h_base_case_matches_the_defining_sum_when_padded():
     for k in range(_H_BASE_BITS + 5):
         for n in {0, (1 << k) - 1, (1 << k) >> 1, rng.getrandbits(k)}:
             assert _h_low(n, k) == padded_h(n, k), (n, k)
+
+
+# The integer cores the verify checkers read in place of the shipped kernels:
+# (num, den) with den = 3 * 2**m, or 3 for u, whose Fraction is the kernel's.
+CORES = [
+    (deviations._dev_v_core, dev_v),
+    (deviations._dev_u_core, dev_u),
+    (deviations._dev_g_core, dev_g),
+]
+# every width up to 20,000 bits, across dev_g's padding to whole bytes and
+# the split in h past _H_BASE_BITS digits
+exact_width = st.integers(min_value=0, max_value=20_000).flatmap(
+    lambda bits: st.integers(min_value=(1 << bits) >> 1, max_value=(1 << bits) - 1)
+)
+
+
+def assert_core_is_its_kernel(core, kernel, n):
+    num, den = core(n)
+    m = max(n.bit_length() - 1, 0)
+    assert den == (3 if core is deviations._dev_u_core else 3 << m)
+    value = kernel(n)
+    assert num * value.denominator == value.numerator * den
+
+
+def test_cores_are_their_kernels_exhaustively():
+    for n in range((1 << 16) + 1):
+        for core, kernel in CORES:
+            assert_core_is_its_kernel(core, kernel, n)
+
+
+@given(exact_width)
+def test_cores_are_their_kernels_at_every_width(n):
+    for core, kernel in CORES:
+        assert_core_is_its_kernel(core, kernel, n)
+
+
+def test_cores_reject_negative_arguments():
+    for core, kernel in CORES:
+        with pytest.raises(DomainError, match=kernel.__name__):
+            core(-1)

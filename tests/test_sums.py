@@ -244,3 +244,37 @@ def test_cesaro_means_stay_near_their_limits(n):
     assert abs(cesaro_mean("const1", n) - Fraction(2, 3)) <= Fraction(1, n)
     assert abs(cesaro_mean("x", n) - Fraction(1, 3)) <= Fraction(1, n)
     assert abs(cesaro_mean("x2", n) - Fraction(2, 9)) <= Fraction(2, n)
+
+
+# The integer cores the verify checkers read in place of v_fast and g_fast:
+# (num, 3 * 2**m), whose Fraction is the kernel's.
+CORES = [(sums._v_fast_core, v_fast), (sums._g_fast_core, g_fast)]
+# every width up to 20,000 bits, across the split in h past 256 digits
+exact_width = st.integers(min_value=1, max_value=20_000).flatmap(
+    lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+)
+
+
+def assert_core_is_its_kernel(core, kernel, n):
+    num, den = core(n)
+    assert den == 3 << (n.bit_length() - 1)
+    value = kernel(n)
+    assert num * value.denominator == value.numerator * den
+
+
+def test_cores_are_their_kernels_exhaustively():
+    for n in range(1, (1 << 16) + 1):
+        for core, kernel in CORES:
+            assert_core_is_its_kernel(core, kernel, n)
+
+
+@given(exact_width)
+def test_cores_are_their_kernels_at_every_width(n):
+    for core, kernel in CORES:
+        assert_core_is_its_kernel(core, kernel, n)
+
+
+def test_cores_reject_arguments_below_one():
+    for core, kernel in CORES:
+        with pytest.raises(DomainError, match=kernel.__name__):
+            core(0)

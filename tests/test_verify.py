@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import json
 from fractions import Fraction
 
 import pytest
 
-from oddsum import deviations, extremal
+from oddsum import deviations, extremal, verify
 from oddsum.deviations import dev_g, dev_u, dev_v
 from oddsum.sums import u_fast, v_fast
 from oddsum.verify import (
@@ -550,3 +551,66 @@ def test_corrupted_digit_table_fails_verify(
     entries[chunk] = tuple(entry)
     monkeypatch.setattr(deviations, table, entries)
     assert check(theorem, SMOKE).line() == line
+
+
+# The checkers read a shipped kernel through its integer core and any other
+# field as it returns.  A pass-through wrapper around every field forces the
+# second path; both must give every report byte for byte.
+def pass_through(ev):
+    fields = {f.name: getattr(ev, f.name) for f in dataclasses.fields(ev)}
+    wrapped = {name: lambda n, f=f: f(n) for name, f in fields.items()}
+    return dataclasses.replace(ev, **wrapped)
+
+
+WIDE = dataclasses.replace(SMOKE, random_big_trials=4, random_bits=260)
+
+
+@pytest.mark.parametrize("config", [SMOKE, WIDE])
+def test_cores_and_fallback_give_the_same_reports(config):
+    default = Evaluators()
+    wrapped = pass_through(default)
+    for theorem in THEOREM_IDS:
+        fast, slow = check(theorem, config, default), check(theorem, config, wrapped)
+        assert (fast.line(), fast.record()) == (slow.line(), slow.record())
+
+
+@pytest.mark.parametrize("table, chunk, field, theorem, line", TABLE_FAULTS)
+def test_cores_and_fallback_agree_on_corrupted_tables(
+    monkeypatch, table, chunk, field, theorem, line
+):
+    # a corrupted table reaches the cores and the Fraction kernels alike; a
+    # dev_g core then keeps its numerator off the 3 * 2**m grid
+    entries = list(getattr(deviations, table))
+    entries[chunk] = tuple(v + (i == field) for i, v in enumerate(entries[chunk]))
+    monkeypatch.setattr(deviations, table, entries)
+
+    def outcome(name, ev):
+        try:
+            report = check(name, SMOKE, ev)
+        except RuntimeError as exc:  # COR10's equality set validates itself
+            return repr(exc)
+        return report.line(), report.record()
+
+    default = Evaluators()
+    wrapped = pass_through(default)
+    outcomes = {name: outcome(name, default) for name in THEOREM_IDS}
+    assert outcomes[theorem][0] == line
+    for name in THEOREM_IDS:
+        assert outcomes[name] == outcome(name, wrapped), name
+
+
+def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
+    # functools.wraps copies the kernel's attributes, not its identity
+    @functools.wraps(dev_g)
+    def corrupted(n):
+        return dev_g(n) + (n == 5)
+
+    ev = dataclasses.replace(Evaluators(), dev_g=corrupted)
+    assert check("P5C", SMOKE, ev).line() == (
+        "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"
+    )
+    assert verify._read(corrupted, 5) == (7, 6, Fraction(7, 6))
+    # the shipped kernels themselves are read through their integer cores
+    default = Evaluators()
+    for name in ("sum_v", "sum_g", "dev_v", "dev_u", "dev_g"):
+        assert verify._read(getattr(default, name), 5)[2] is None
