@@ -2,8 +2,8 @@
 
 Evaluators for V, U, G and their deviations v, u, g: each sum with an
 O(n) oracle and a closed form built from two digit kernels (the digit
-reversal of n and the zero-digit functional h, evaluated by binary
-splitting), each deviation with that closed form and an independent
+reversal of n and the zero-digit functional h, from one product
+n * reverse(n)), each deviation with that closed form and an independent
 recurrence as its second evaluator.  Also block extrema of g, the
 solved equality-set enumerations, and a checker harness that verifies
 every sharp bound and identity mechanically.

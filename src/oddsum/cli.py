@@ -277,13 +277,14 @@ def _cmd_scan(args) -> int:
 
 
 def _check_inv1px_printable(n: int) -> None:
-    """Refuse, before summing, an exact inv1px mean too wide to print: each prime
-    in [n+1, 2n] divides one term's denominator, 2**t p, alone, so the mean's."""
+    """Refuse, before summing, an exact inv1px mean too wide to print: an odd prime
+    with one multiple in [n+1, 2n] divides one denominator alone, so the mean's."""
     if n <= sums.CESARO_INV1PX_CAP:  # past it cesaro_mean refuses n at once
         sieve = bytearray([1]) * (2 * n + 1)
         for p in range(2, math.isqrt(2 * n) + 1):
             sieve[p * p :: p] = bytes(len(range(p * p, 2 * n + 1, p)))
-        primes = math.prod(p for p in range(n + 1, 2 * n + 1) if sieve[p])
+        odd = range(3, 2 * n + 1, 2)
+        primes = math.prod(p for p in odd if sieve[p] and 2 * n // p - n // p == 1)
         _check_printable(primes, _EXACT_REMEDY, "the exact value")
 
 

@@ -31,19 +31,20 @@ checkers and tests compare against the closed form:
 
 h(n) = sum of floor(n / 2**(k+1)) over the zero digits k of n below the
 leading one; it sits in [0, n-1], vanishing exactly on the all-ones
-integers and hitting n-1 exactly on the powers of two.  It is evaluated
-by binary splitting: with n = a * 2**k + b and b < 2**k,
-
-    h(n) = h(a) + a * Z_k(b) + H_k(b)
-
-where Z_k(b) is the complement of b within k digits, read in reverse,
-and H_k(b) is h over b padded with leading zeros to k digits, which
-splits the same way.  Up to _H_BASE_BITS digits the defining sum runs
-8 digits per step from the bottom, by the same split with k = 8: the
-chunk c of digits s to s+7 adds (n >> (s+8)) * Z_8(c) + H_8(c), read
-from a table, and a last chunk of w < 8 digits adds
-(n >> k) * (Z_8(c) >> (8-w)) + H_8(c).  An m-digit h costs O(M(m) log m),
-M(m) the cost of an m-bit product, against O(m**2) for the defining sum.
+integers and hitting n-1 exactly on the powers of two.  With s the digit
+sum of n and a_d = popcount(n & (n >> d)) its pairs of one digits d
+apart, the shifts over all k < m sum to n - s (Legendre's formula) and
+those over the one digits to X/2, X = sum_{d>=1} a_d 2**d.  As a_d is
+symmetric in d, P = n * reverse(n) = 2**m (s + X) + L, L the sum of
+a_d 2**(m-d) over d >= 1.  Each a_d is at most m, so the terms T of L
+with d <= bit_length(m) leave L - T < 2**m, and h(n) = n - s - X/2 is
+n - (s + ((P - T) >> m)) / 2: O(M(m)), M(m) the cost of an m-bit
+product, against O(m**2) for the defining sum.  Up to _H_BASE_BITS
+digits, where the product's fixed costs dominate, the defining sum runs
+8 digits per step from the bottom: the chunk c of digits j to j+7 adds
+(n >> (j+8)) * Z_8(c) + H_8(c) from a table, Z_8(c) the complement of c
+read in reverse and H_8(c) h over c padded to 8 digits, and a last chunk
+of w < 8 digits adds (n >> m) * (Z_8(c) >> (8-w)) + H_8(c).
 
 The recurrence evaluators walk digits most significant first with scaled
 integer state, so deep arguments cost no recursion depth and no
@@ -73,9 +74,9 @@ __all__ = [
     "h_eval",
 ]
 
-# h runs its defining sum on at most this many digits instead of
-# splitting further; between 128 and 512 digits the two cost about the same.
-_H_BASE_BITS = 256
+# h walks its defining sum on at most this many digits and takes the product
+# past them; near 100 digits both cost about 4 us (2 cores, Python 3.11).
+_H_BASE_BITS = 104
 
 
 def _chunk_table(extend, start):
@@ -181,36 +182,34 @@ def dev_u(n: int) -> Fraction:
     return Fraction(*_dev_u_core(n))
 
 
-def _h_low(n: int, k: int) -> int:
-    """Sum of n >> (j+1) over the zero digits j < k of n, by binary splitting.
-
-    With k = floor_lg(n) this is h(n); with n < 2**k it is H_k(n), h over
-    n padded with leading zeros to k digits.
-    """
-    if k <= _H_BASE_BITS:
-        total = 0
-        high = n
-        for _ in range(k >> 3):
-            zeros, low = _H_STEP[high & 0xFF]
-            high >>= 8
-            total += high * zeros + low
-        if width := k & 7:
-            zeros, low = _H_STEP[high & ((1 << width) - 1)]
-            total += (high >> width) * (zeros >> (8 - width)) + low
-        return total
-    low_k = k >> 1
-    mask = (1 << low_k) - 1
-    high = n >> low_k
-    # Z: the complement of the low low_k digits, read in reverse within them
-    zeros = int(format(~n & mask, f"0{low_k}b")[::-1], 2)
-    return _h_low(high, k - low_k) + high * zeros + _h_low(n & mask, low_k)
+def _h_product(n: int) -> int:
+    """h(n) for n >= 1 from the one product P = n * reverse(n)."""
+    m = n.bit_length() - 1
+    depth = min(m, m.bit_length())  # 2**depth > m bounds the terms left out
+    head = 0  # T >> (m - depth): a_1 .. a_depth as digits from the top
+    for d in range(1, depth + 1):
+        head = (head << 1) + (n & (n >> d)).bit_count()
+    total = ((n * reverse_digits(n) >> (m - depth)) - head) >> depth  # s + X
+    return n - ((n.bit_count() + total) >> 1)
 
 
 def h_eval(n: int) -> int:
     """h(n): sum of the right shifts n >> (k+1) over the zero digits k < m."""
     if n <= 0:
         raise DomainError("h_eval requires n >= 1")
-    return _h_low(n, n.bit_length() - 1)
+    m = n.bit_length() - 1
+    if m > _H_BASE_BITS:
+        return _h_product(n)
+    total = 0
+    high = n
+    for _ in range(m >> 3):  # the defining sum, 8 digits per step
+        zeros, low = _H_STEP[high & 0xFF]
+        high >>= 8
+        total += high * zeros + low
+    if width := m & 7:
+        zeros, low = _H_STEP[high & ((1 << width) - 1)]
+        total += (high >> width) * (zeros >> (8 - width)) + low
+    return total
 
 
 def _triple_u(n: int) -> int:

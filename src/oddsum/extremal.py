@@ -24,6 +24,7 @@ stay cheap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,12 +183,17 @@ def lambda_m(m: int) -> Fraction:
     return Fraction(((3 * m + 1) << m) - sign, 27 << m)
 
 
+@functools.lru_cache(maxsize=64)  # the checkers read it once per block
+def _theta_parts(m: int) -> tuple[int, int]:
+    """theta_n for floor_lg(n) = m as (num, 9 * 2**m), unreduced."""
+    return (m << m) + round_pow2_over_3(m), 9 << m
+
+
 def theta(n: int) -> Fraction:
     """theta_n = lambda_{floor_lg(n)}, in the round(2**m/3) form."""
     if n <= 0:
         raise DomainError("theta requires n >= 1")
-    m = n.bit_length() - 1
-    return Fraction((m << m) + round_pow2_over_3(m), 9 << m)
+    return Fraction(*_theta_parts(n.bit_length() - 1))
 
 
 def argmax_g(m: int) -> ExtremalReport:

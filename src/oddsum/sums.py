@@ -29,7 +29,7 @@ V(n) and G(n) are dyadic rationals (denominator dividing 2**floor_lg(n)),
 U(n) an integer; all arithmetic here is exact.  The fast evaluators do
 integer arithmetic only and build one Fraction at the end, reduced by
 bitcore.dyadic_third in time linear in the width.  Their cost is that
-of h, O(M(m) log m) with M(m) the cost of an m-bit product.
+of h, one product: O(M(m)) with M(m) the cost of an m-bit product.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].

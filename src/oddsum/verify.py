@@ -20,8 +20,8 @@ Identity-type claims (P2C, P2D, P6B, EQL21, EQ4_IDENTITY) additionally
 run seeded random trials at big arguments (256-bit by default), which
 guards the closed-form and recurrence evaluators far beyond scan range;
 every second EQ4_IDENTITY trial is at least 260 bits wide, so that U and
-G reach the split in h.  The seed is part of the RangeConfig, so every
-report is reproducible.
+G reach the product branch of h also under a narrow --bits.  The seed is
+part of the RangeConfig, so every report is reproducible.
 
 A RangeConfig past a cap raises ResourceLimitError when it is built,
 before any checker runs: MAX_N_CAP, MAX_M_CAP and MAX_R_CAP bound one
@@ -73,9 +73,9 @@ __all__ = [
 ]
 
 
-# Every other EQ4_IDENTITY trial is at least this wide: u(n) reads
-# h(n >> 1), whose divide-and-conquer split needs n of 259 bits or more.
-_H_SPLIT_BITS = deviations._H_BASE_BITS + 4
+# Every other EQ4_IDENTITY trial is at least this wide, so that u(n) reads
+# h(n >> 1) through its product branch, past deviations._H_BASE_BITS digits.
+_H_SPLIT_BITS = 260
 
 # At each cap the slowest checker takes 1 to 5 s and at most 60 MB on 2
 # cores, Python 3.11: P2C at max_n 2**20 (4.0 s), P10 at max_m 18 (1.7 s),
@@ -616,12 +616,11 @@ def _check_cor7(ev, m):
 def _check_cor8(ev, n):
     """Chain 0 <= g(n) <= theta_n <= floor_lg(n)/9 + 1/18."""
     p, q, raw = _read(ev.dev_g, n)
-    bound = extremal.theta(n)
     m = n.bit_length() - 1
-    t, s = bound.as_integer_ratio()
+    t, s = extremal._theta_parts(m)
     if not (0 <= p and p * s <= t * q and 18 * t <= (2 * m + 1) * s):
-        expected = f"0 <= g <= {_fmt(bound)} <= {_fmt(Fraction(2 * m + 1, 18))}"
-        return _ce(expected, _shown(p, q, raw), n=n)
+        bound = f"{_fmt(Fraction(t, s))} <= {_fmt(Fraction(2 * m + 1, 18))}"
+        return _ce(f"0 <= g <= {bound}", _shown(p, q, raw), n=n)
 
 
 @_claim("P10", _m_range)
@@ -665,7 +664,7 @@ def _check_cor10(config, ev):
 
     def on_families(ev, n):
         p, q, raw = _read(ev.dev_g, n)
-        t, s = extremal.theta(n).as_integer_ratio()
+        t, s = extremal._theta_parts(n.bit_length() - 1)
         if (p * s == t * q) != (n in members):
             shown = _shown(p, q, raw)
             return _ce("g = theta_n exactly on the rounded families", shown, n=n)

@@ -124,7 +124,7 @@ def test_parse_rational_rejects_garbage():
 
 
 # m = floor_lg(n) for every width 1..600, so every width mod 8 and both sides
-# of the gcd fallback (_GCD_BITS) and of h's split, then 4k and 16k bits
+# of the gcd fallback (_GCD_BITS) and of h's product branch, then 4k and 16k bits
 DYADIC_LEVELS = [*range(600), 4095, 16383]
 
 

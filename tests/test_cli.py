@@ -321,6 +321,27 @@ def test_cesaro_inv1px_too_wide_to_print_exits_3_before_summing(capsys, monkeypa
 
 
 @needs_digit_limit
+def test_cesaro_inv1px_refuses_from_the_lone_odd_primes(capsys, monkeypatch):
+    # an odd prime with one multiple in [n+1, 2n] divides one term's
+    # denominator alone, so the mean's: that refuses n = 7500 before summing
+    def summed(pairs):
+        raise AssertionError(f"summed {len(pairs)} terms")
+
+    monkeypatch.setattr(sums, "_tree_sum", summed)
+    code, out, err = run(capsys, "cesaro", "inv1px", "7500")
+    assert_digit_limit_exit(code, out, err, "--decimal N")
+    monkeypatch.undo()
+    assert sums.cesaro_mean("inv1px", 7500).denominator >= 10**DIGIT_LIMIT
+    # a mean that prints prints the same bytes, near the widest one that does
+    for n in (4900, 4929):
+        code, out, _ = run(capsys, "cesaro", "inv1px", str(n))
+        mean = sums.cesaro_mean("inv1px", n)
+        assert code == 0
+        exact = f"{mean.numerator}/{mean.denominator}"
+        assert out == f"mean {exact} limit 0.462098120373\n"
+
+
+@needs_digit_limit
 def test_decimal_argument_over_digit_limit_exits_3(capsys):
     numeral = "7" * (DIGIT_LIMIT + 1)
     code, out, err = run(capsys, "eval", "V", numeral)

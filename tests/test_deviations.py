@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oddsum import deviations
 from oddsum.bitcore import DomainError, hat, tilde
 from oddsum.deviations import (
     _H_BASE_BITS,
-    _h_low,
+    _h_product,
     dev_g,
     dev_g_closed,
     dev_g_digit,
@@ -150,6 +150,44 @@ def test_h_endpoints_at_large_m():
     for m in (_H_BASE_BITS, _H_BASE_BITS + 1, 1000, 4097, 20000):
         assert h_eval(1 << m) == (1 << m) - 1
         assert h_eval((1 << m) - 1) == 0
+
+
+# The product branch, h from n * reverse(n), against the defining sum: called
+# directly below _H_BASE_BITS too, where h_eval walks instead.
+def test_h_product_matches_the_definition_exhaustively():
+    for n in range(1, 1 << 16):
+        assert _h_product(n) == h_linear(n), n
+
+
+# every width up to 20,000 bits, and often those next to _H_BASE_BITS
+h_widths = st.integers(min_value=1, max_value=20_000) | st.integers(
+    min_value=_H_BASE_BITS - 8, max_value=_H_BASE_BITS + 8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h_widths, st.randoms(use_true_random=False))
+def test_h_matches_the_definition_across_the_product_branch(bits, rng):
+    n = random_width(rng, bits)
+    assert h_eval(n) == _h_product(n) == h_linear(n), bits
+
+
+def digit_families(m):
+    """n with floor_lg(n) = m whose digit pairs pile up at every distance or
+    at none: all ones, 2**m, 1010..., 10...01 and all ones but one zero."""
+    ones = (2 << m) - 1
+    family = [ones, 1 << m, int("10" * (m // 2 + 1), 2) >> ((m + 1) & 1)]
+    if m:
+        family.append((1 << m) | 1)
+        family += [ones ^ (1 << j) for j in {0, m // 2, m - 1}]
+    return family
+
+
+def test_h_product_on_digit_families():
+    for m in [*range(300), 1023, 1024, 2047, 4096, 5000]:
+        for n in digit_families(m):
+            assert n.bit_length() == m + 1, (m, n)
+            assert _h_product(n) == h_linear(n), (m, n)
 
 
 @given(pos)
@@ -298,7 +336,7 @@ def test_recurrences_match_the_one_digit_walks_exhaustively():
 
 
 def test_recurrences_match_the_one_digit_walks_at_every_width():
-    # every residue of the width mod 8, on both sides of the split in h
+    # every residue of the width mod 8, on both sides of h's product branch
     rng = random.Random("walk-widths")
     for bits in [*range(1, 41), *range(250, 271)]:
         for n in (1 << (bits - 1), (1 << bits) - 1, random_width(rng, bits)):
@@ -306,12 +344,13 @@ def test_recurrences_match_the_one_digit_walks_at_every_width():
             assert dev_u(n) == dev_u_linear(n), n
 
 
-def test_h_base_case_matches_the_defining_sum_when_padded():
-    # the split feeds in n < 2**k, whose top digits are padding zeros
-    rng = random.Random("h-padded")
-    for k in range(_H_BASE_BITS + 5):
-        for n in {0, (1 << k) - 1, (1 << k) >> 1, rng.getrandbits(k)}:
-            assert _h_low(n, k) == padded_h(n, k), (n, k)
+def test_h_walk_matches_the_defining_sum_at_every_width():
+    # every m = floor_lg(n) up to the product branch and past it, so the walk's
+    # last chunk takes every width mod 8
+    rng = random.Random("h-walk")
+    for m in range(_H_BASE_BITS + 5):
+        for n in {(2 << m) - 1, 1 << m, (3 << m) >> 1, random_width(rng, m + 1)}:
+            assert h_eval(n) == h_linear(n), (n, m)
 
 
 # The integer cores the verify checkers read in place of the shipped kernels:
@@ -322,7 +361,7 @@ CORES = [
     (deviations._dev_g_core, dev_g),
 ]
 # every width up to 20,000 bits, across dev_g's padding to whole bytes and
-# the split in h past _H_BASE_BITS digits
+# h's product branch past _H_BASE_BITS digits
 exact_width = st.integers(min_value=0, max_value=20_000).flatmap(
     lambda bits: st.integers(min_value=(1 << bits) >> 1, max_value=(1 << bits) - 1)
 )

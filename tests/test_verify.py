@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oddsum import deviations, extremal, verify
+from oddsum.bitcore import reverse_digits
 from oddsum.deviations import dev_g, dev_u, dev_v
 from oddsum.sums import u_fast, v_fast
 from oddsum.verify import (
@@ -508,23 +509,24 @@ def test_p2c_scan_evaluates_v_once_per_n():
     assert len(calls) == SMOKE.max_n + trial_calls
 
 
-def test_eq4_trials_reach_the_split_in_h(monkeypatch):
-    # u(n) reads h(n >> 1), which splits only past _H_BASE_BITS digits:
-    # a mutant that drops the cross term of the split passes at 256 bits
-    # unless some trials are wider
-    real = deviations._h_low
+def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
+    # u(n) reads h(n >> 1), which takes its product branch only past
+    # _H_BASE_BITS digits: at --bits 64 only the 260-bit trials reach it, and
+    # a mutant that drops the carry of the low half into the top must fail there
+    widths = []
 
-    def mutant(n, k):
-        if k <= deviations._H_BASE_BITS:
-            return real(n, k)
-        low_k = k >> 1
-        return mutant(n >> low_k, k - low_k) + mutant(n & ((1 << low_k) - 1), low_k)
+    def without_carry(n):
+        widths.append(n.bit_length())
+        # P >> m in place of (P - T) >> m
+        total = n * reverse_digits(n) >> (n.bit_length() - 1)
+        return n - ((n.bit_count() + total) >> 1)
 
-    monkeypatch.setattr(deviations, "_h_low", mutant)
-    config = dataclasses.replace(SMOKE, random_bits=RangeConfig.random_bits)
-    report = check("EQ4_IDENTITY", config)
+    monkeypatch.setattr(deviations, "_h_product", without_carry)
+    assert SMOKE.random_bits == 64
+    report = check("EQ4_IDENTITY", SMOKE)
     assert report.status == "fail"
-    assert report.checked_count > config.max_n
+    assert report.checked_count > SMOKE.max_n
+    assert min(widths) == verify._H_SPLIT_BITS - 1 == 259
 
 
 # One entry of each 8-digit table, off by one where the smoke range reads
