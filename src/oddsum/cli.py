@@ -53,7 +53,7 @@ from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
 from .extremal import LAMBDA_M_CAP, argmax_g, lambda_m, scan_g_below, theta
 from .sums import alpha, g_fast, u_fast, v_fast
 
-__all__ = ["DECIMAL_DIGITS_CAP", "TABLE_CELLS_CAP", "main", "parse_nat"]
+__all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
 
 # --decimal N refuses a larger N.  N costs mostly the memory of its
 # output, about 2.3 bytes a digit: `eval v 13` peaks at 19 MB for 10**6
@@ -76,10 +76,6 @@ EVAL_FUNCTIONS = {
     "tilde": tilde,
     "lambda_m": lambda_m,
 }
-
-# table refuses more cells (rows x functions): the most a table of
-# distinct functions could ask for under the row cap
-TABLE_CELLS_CAP = len(EVAL_FUNCTIONS) * (sums.DEFAULT_BRUTE_CAP + 1)
 
 # a json array goes out this many items at a time, in bounded memory
 _JSON_CHUNK = 4096
@@ -312,10 +308,12 @@ def _cmd_table(args) -> int:
         raise ValueError(f"inverted range: {args.start} > {args.stop}")
     sums._check_brute_cap("the range to - from", args.stop - args.start)
     count = args.stop - args.start + 1
-    if count * len(names) > TABLE_CELLS_CAP:
+    # no more cells than a table of distinct functions asks for at the row cap
+    cells = len(EVAL_FUNCTIONS) * (sums.DEFAULT_BRUTE_CAP + 1)
+    if count * len(names) > cells:
         raise ResourceLimitError(
-            f"{count} rows of {len(names)} columns exceed {TABLE_CELLS_CAP}"
-            " cells (oddsum.cli.TABLE_CELLS_CAP)"
+            f"{count} rows of {len(names)} columns exceed {cells} cells"
+            f" ({len(EVAL_FUNCTIONS)} x (oddsum.sums.DEFAULT_BRUTE_CAP + 1))"
         )
     if "lambda_m" in names and args.stop > LAMBDA_M_CAP:
         lambda_m(args.stop)  # raises eval's ResourceLimitError, before any row

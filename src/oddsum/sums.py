@@ -200,8 +200,6 @@ def _sum_k_alpha(n: int) -> int:
     Doubling adds the odd squares below 2n: W(2n) = n(4n^2-1)/3 + 2W(n),
     W(2n+1) = W(2n) + (2n+1)^2.
     """
-    if n == 0:
-        return 0
     m = n.bit_length() - 1
     prefix = 1
     w = 1

@@ -10,31 +10,34 @@ A checker is a declaration: a predicate, (ev, item) -> Counterexample or
 None, over a domain, (config, theorem) -> items in ascending order (an n
 range, an n range then the random trials, the (r, p) grid, an m range,
 T3's blocks then its closed-form m, or the rows of sums.scan_sums).  A
-checker that builds something once per run (P2C's prefix sums, COR10's
-member set, the skeleton pairs of L2 and COR6, T3's two phases) registers
-a setup, (config, ev) -> (items, predicate), instead.  check() alone walks
-the items: it counts them, stops at the first counterexample, which is
-then the smallest, and times the run.
+checker that builds something once per run (P2C's memo of prefix sums,
+COR10's member set, the skeleton pairs of L2 and COR6, T3's two phases)
+registers a setup, (config, ev) -> (items, predicate), instead.  check()
+alone walks the items: it counts them, stops at the first
+counterexample, which is then the smallest, and times the run.
 
 Identity-type claims (P2C, P2D, P6B, EQL21, EQ4_IDENTITY) additionally
 run seeded random trials at big arguments (256-bit by default), which
 guards the closed-form and recurrence evaluators far beyond scan range;
 every second EQ4_IDENTITY trial is at least 260 bits wide, so that U and
 G reach the product branch of h also under a narrow --bits.  The seed is
-part of the RangeConfig, so every report is reproducible.
+part of the RangeConfig, so every report is reproducible.  P2C's scan and
+its trials run one recurrence, S(x) = v(x) + S(x >> 1), from the longest
+prefix of n that the scan has summed.
 
 A RangeConfig past a cap raises ResourceLimitError when it is built,
 before any checker runs: MAX_N_CAP, MAX_M_CAP and MAX_R_CAP bound one
 field each, GRID_CELLS_CAP the (r, p) grid and TRIAL_WORK_CAP the trials
 times the square of their width.
 
-Verdicts are integer arithmetic.  While an Evaluators field is a shipped
-Fraction kernel, _read calls its integer core, found by identity in
-_CORES, which returns (num, den) with den = 3 * 2**m (3 for dev_u); a
-replaced field is called as given and read by as_integer_ratio.  A
-checker cross-multiplies these integers or brings them over one common
-denominator, widened for a value outside it.  A failure reports what a
-replaced field returned; Fractions are built only to write a report.
+Verdicts are integer arithmetic.  _read gives every value as one exact
+pair (num, den): while an Evaluators field is a shipped Fraction kernel,
+its integer core, found by identity in _CORES, with den = 3 * 2**m (3
+for dev_u); a replaced field is called as given and read by
+as_integer_ratio.  A checker cross-multiplies these integers or brings
+them over one common denominator, widened for a value outside it.  A
+failure reports Fraction(num, den), the exact value the verdict used;
+Fractions are built only to write a report.
 
 All checkers read their evaluators from an Evaluators bundle rather
 than calling module functions directly.  Swapping in a corrupted
@@ -215,30 +218,21 @@ _CORES = {
 }
 
 
-def _read(field: Callable, n: int) -> tuple[int, int, object]:
-    """field(n) as (num, den, value): a shipped kernel's core and None, or
-    the returned value's as_integer_ratio() and the value, for a report."""
+def _read(field: Callable, n: int) -> tuple[int, int]:
+    """field(n) as (num, den): a shipped kernel's core, or the returned
+    value's as_integer_ratio()."""
     core = _CORES.get(field)
-    if core is None:
-        value = field(n)
-        return (*value.as_integer_ratio(), value)
-    num, den = core(n)
-    return num, den, None
-
-
-def _shown(num: int, den: int, value):
-    """What a report shows for a read: the value returned, or the core's Fraction."""
-    return Fraction(num, den) if value is None else value
+    return field(n).as_integer_ratio() if core is None else core(n)
 
 
 def _over(denominator: int, reads) -> tuple[list[int], int]:
-    """The (num, den, value) reads as numerators over denominator, which every
+    """The (num, den) reads as numerators over denominator, which every
     shipped kernel's den divides, or else over the lcm of it and each den."""
     nums = []
-    for p, q, _ in reads:
+    for p, q in reads:
         scale, rest = divmod(denominator, q)
         if rest:
-            return _over(math.lcm(denominator, *(read[1] for read in reads)), reads)
+            return _over(math.lcm(denominator, *(q for _, q in reads)), reads)
         nums.append(p * scale)
     return nums, denominator
 
@@ -314,12 +308,12 @@ def _claim(theorem: str, domain=None):
 @_claim("P1B", _n_range)
 def _check_p1b(ev, n):
     """2n/3 < V(n) < (2n+2)/3, strictly, for every n."""
-    p, q, raw = _read(ev.sum_v, n)
+    p, q = _read(ev.sum_v, n)
     if not 2 * n * q < 3 * p < (2 * n + 2) * q:
         return _ce(
             f"strictly between {_fmt(Fraction(2 * n, 3))} and"
             f" {_fmt(Fraction(2 * n + 2, 3))}",
-            3 * _shown(p, q, raw) / 3,  # an int value reports as a float, e.g. 3.0
+            Fraction(p, q),
             n=n,
         )
 
@@ -327,19 +321,19 @@ def _check_p1b(ev, n):
 @_claim("COR3", _n_range)
 def _check_cor3(ev, n):
     """v sits in (0, 1/3) at even arguments and (1/3, 2/3) at odd ones."""
-    p, q, raw = _read(ev.dev_v, 2 * n)
+    p, q = _read(ev.dev_v, 2 * n)
     if not (0 < p and 3 * p < q):
-        return _ce("in (0, 1/3)", _shown(p, q, raw), n=2 * n)
-    p, q, raw = _read(ev.dev_v, 2 * n + 1)
+        return _ce("in (0, 1/3)", Fraction(p, q), n=2 * n)
+    p, q = _read(ev.dev_v, 2 * n + 1)
     if not q < 3 * p < 2 * q:
-        return _ce("in (1/3, 2/3)", _shown(p, q, raw), n=2 * n + 1)
+        return _ce("in (1/3, 2/3)", Fraction(p, q), n=2 * n + 1)
 
 
 @_claim("COR4", _n_range)
 def _check_cor4(ev, n):
     """Block bounds of v on I_m, sharp exactly at 2^m and 2^(m+1)-1."""
     m = n.bit_length() - 1
-    p, q, raw = _read(ev.dev_v, n)
+    p, q = _read(ev.dev_v, n)
     # value and both bounds over 3n * 2**m, times q
     scaled = (3 * n << m) * p
     low_q, high_q = n * q, (((2 * n - 2) << m) + 1) * q
@@ -347,7 +341,7 @@ def _check_cor4(ev, n):
     is_top = n == (2 << m) - 1
     if in_range and at_low == _is_pow2(n) and (scaled == high_q) == is_top:
         return None
-    low, value = Fraction(1, 3 << m), _shown(p, q, raw)
+    low, value = Fraction(1, 3 << m), Fraction(p, q)
     high = Fraction(2, 3) - Fraction((2 << m) - 1, (3 * n) << m)
     if not in_range:
         return _ce(f"in [{_fmt(low)}, {_fmt(high)}]", value, n=n)
@@ -359,12 +353,12 @@ def _check_cor4(ev, n):
 @_claim("T5", _n_range)
 def _check_t5(ev, n):
     """Sharp bracketing of V; equality iff n resp. n+1 is a power of two."""
-    p, q, raw = _read(ev.sum_v, n)
+    p, q = _read(ev.sum_v, n)
     low_gap = 3 * n * p - (2 * n * n + 1) * q
     high_gap = 2 * n * (n + 2) * q - 3 * (n + 1) * p
     if low_gap > 0 and high_gap > 0 and not (_is_pow2(n) or _is_pow2(n + 1)):
         return None
-    value = _shown(p, q, raw)
+    value = Fraction(p, q)
     if low_gap < 0:
         return _ce(f">= {_fmt(Fraction(2 * n * n + 1, 3 * n))}", value, n=n)
     if (low_gap == 0) != _is_pow2(n):
@@ -422,81 +416,71 @@ def _check_t2(ev, n):
 @_claim("P4B", _n_range)
 def _check_p4b(ev, n):
     """n(n + 7/4)/3 <= G(n) <= n(n+2)/3 for every n."""
-    p, q, raw = _read(ev.sum_g, n)
+    p, q = _read(ev.sum_g, n)
     if 12 * p < (4 * n * n + 7 * n) * q:
-        return _ce(f">= {_fmt(Fraction(n * (4 * n + 7), 12))}", _shown(p, q, raw), n=n)
+        return _ce(f">= {_fmt(Fraction(n * (4 * n + 7), 12))}", Fraction(p, q), n=n)
     if 3 * p > n * (n + 2) * q:
-        return _ce(f"<= {_fmt(Fraction(n * (n + 2), 3))}", _shown(p, q, raw), n=n)
+        return _ce(f"<= {_fmt(Fraction(n * (n + 2), 3))}", Fraction(p, q), n=n)
 
 
 @_claim("P5C", _n_range)
 def _check_p5c(ev, n):
     """0 <= g(n) <= floor_lg(n)/3."""
-    p, q, raw = _read(ev.dev_g, n)
+    p, q = _read(ev.dev_g, n)
     m = n.bit_length() - 1
     if not (0 <= p and 3 * p <= m * q):
-        return _ce(f"in [0, {_fmt(Fraction(m, 3))}]", _shown(p, q, raw), n=n)
+        return _ce(f"in [0, {_fmt(Fraction(m, 3))}]", Fraction(p, q), n=n)
 
 
 @_claim("COR5", _n_range)
 def _check_cor5(ev, n):
     """g vanishes exactly on the all-ones integers 2^r - 1."""
-    p, q, raw = _read(ev.dev_g, n)
+    p, q = _read(ev.dev_g, n)
     if (p == 0) != _is_all_ones(n):
-        return _ce("0 exactly iff n = 2^r - 1", _shown(p, q, raw), n=n)
+        return _ce("0 exactly iff n = 2^r - 1", Fraction(p, q), n=n)
 
 
 @_claim("P2C")
 def _check_p2c(config, ev):
     """Telescoping: v(n) + sum_p v(n >> p) = (2/3) popcount(n).
 
-    Every term v(n >> p) lives over 3 * 2**m, m = floor_lg(n), so the
-    terms are summed as integers over that denominator and compared with
-    2 * popcount(n) * 2**m.  The scan telescopes, S(n) = sum_p v(n >> p)
-    over 3 * 2**m being v(n) + 2 S(n >> 1), so it evaluates v(n) alone,
-    having confirmed S(n >> 1) when it passed n >> 1.  A trial adds v of
-    each prefix of n, shortest first, then v(n), 256 terms at a time.
+    One recurrence, S(x) = v(x) + S(x >> 1) for S(x) = sum_p v(x >> p),
+    serves the scan and the trials: from the longest prefix of n in the
+    memo (n >> 1 for a scanned n, about max_n wide for a trial) it adds v
+    of each longer prefix, n last.  The memo keeps S(x) over
+    3 * 2**bit_length(x) for each scanned x; the check at n holds only for
+    the true, on-grid v(n), so no widened denominator reaches the memo.
     """
+    memo = [0]
 
-    def violation(n: int, total: int, den: int):
-        if 3 * total != 2 * n.bit_count() * den:
-            return _ce(Fraction(2 * n.bit_count(), 3), Fraction(total, den), n=n)
+    def telescoped(ev, n):
+        k = max(n.bit_length() - len(memo).bit_length(), 0) + 1
+        total, den = memo[n >> k], 3 << (n >> k).bit_length()
+        for j in range(k - 1, -1, -1):
+            (num,), wide = _over(den << 1, (_read(ev.dev_v, n >> j),))
+            total, den = total * (wide // den) + num, wide
+        if 3 * (num + total) != 2 * n.bit_count() * den:
+            return _ce(Fraction(2 * n.bit_count(), 3), Fraction(num + total, den), n=n)
+        if n == len(memo):
+            memo.append(total)
 
-    prefix_sums = [0]  # S(n) over 3 * 2**m for each n scanned so far
-
-    def telescoped(ev, item):
-        index, n = item
-        m = n.bit_length() - 1
-        if index >= config.max_n:  # a trial: v of each prefix, then v(n)
-            total, den = 0, 3
-            terms = itertools.chain((n >> p for p in range(m, -1, -1)), (n,))
-            while chunk := [_read(ev.dev_v, x) for x in itertools.islice(terms, 256)]:
-                # the next 256 prefixes gain at most 256 digits: den << 256 holds each v
-                nums, lcm = _over(den << 256, chunk)
-                total, den = total * (lcm // den) + sum(nums), lcm
-            return violation(n, total, den)
-        (num,), den = _over(3 << m, (_read(ev.dev_v, n),))
-        total = num + 2 * prefix_sums[n >> 1] * (den // (3 << m))
-        prefix_sums.append(total)
-        return violation(n, num + total, den)
-
-    return enumerate(_n_range_and_trials(1)(config, "P2C")), telescoped
+    return _n_range_and_trials(1)(config, "P2C"), telescoped
 
 
 @_claim("P2D", _n_range_and_trials(1))
 def _check_p2d(ev, n):
     """Complement symmetry: v(n) + v(hat(n)) = 2/3."""
-    (a, b, left), (c, d, right) = _read(ev.dev_v, n), _read(ev.dev_v, hat(n))
+    (a, b), (c, d) = _read(ev.dev_v, n), _read(ev.dev_v, hat(n))
     if 3 * (a * d + c * b) != 2 * b * d:
-        return _ce(Fraction(2, 3), _shown(a, b, left) + _shown(c, d, right), n=n)
+        return _ce(Fraction(2, 3), Fraction(a, b) + Fraction(c, d), n=n)
 
 
 @_claim("P6B", _n_range_and_trials(1))
 def _check_p6b(ev, n):
     """Reflection symmetry: g(n) = g(tilde(n))."""
-    (a, b, left), (c, d, right) = _read(ev.dev_g, n), _read(ev.dev_g, tilde(n))
+    (a, b), (c, d) = _read(ev.dev_g, n), _read(ev.dev_g, tilde(n))
     if a * d != c * b:
-        return _ce(_shown(c, d, right), _shown(a, b, left), n=n)
+        return _ce(Fraction(c, d), Fraction(a, b), n=n)
 
 
 @_claim("EQL21", _n_range_and_trials(0))
@@ -526,13 +510,13 @@ def _check_l2(config, ev):
 
     def gap(a: int, b: int) -> tuple[int, int]:
         """g(a) - g(b) as an unreduced numerator and denominator."""
-        (c, d, _), (e, f, _) = _read(ev.dev_g, a), _read(ev.dev_g, b)
+        (c, d), (e, f) = _read(ev.dev_g, a), _read(ev.dev_g, b)
         return c * f - e * d, d * f
 
     def identities(ev, item):
         r, p = item
         x_r, y_r, x_next = pairs[r].x, pairs[r].y, pairs[r + 1].x
-        s, t, _ = _read(ev.dev_v, p)
+        s, t = _read(ev.dev_v, p)
         # g(base + offset) - g(base + y_r) = (1 + sign / 2**k) sign (1/3 - v(p)) / 3,
         # the right side over 9t * 2**k for v(p) = s/t, the left over den
         for name, base, offset, k, sign in (
@@ -565,12 +549,11 @@ def _check_cor6(config, ev):
             (odd_base + y_prev, odd_base + x_r),
             (odd_base + (1 << (2 * r)) + x_r, odd_base + y_r),
         ):
-            a, b, low = _read(ev.dev_g, smaller)
-            c, d, high = _read(ev.dev_g, larger)
+            (a, b), (c, d) = _read(ev.dev_g, smaller), _read(ev.dev_g, larger)
             if not a * d < c * b:
                 return _ce(
                     f"g({smaller}) < g({larger})",
-                    f"{_fmt(_shown(a, b, low))} vs {_fmt(_shown(c, d, high))}",
+                    f"{_fmt(Fraction(a, b))} vs {_fmt(Fraction(c, d))}",
                     p=p,
                     r=r,
                 )
@@ -615,12 +598,12 @@ def _check_cor7(ev, m):
 @_claim("COR8", _n_range)
 def _check_cor8(ev, n):
     """Chain 0 <= g(n) <= theta_n <= floor_lg(n)/9 + 1/18."""
-    p, q, raw = _read(ev.dev_g, n)
+    p, q = _read(ev.dev_g, n)
     m = n.bit_length() - 1
     t, s = extremal._theta_parts(m)
     if not (0 <= p and p * s <= t * q and 18 * t <= (2 * m + 1) * s):
         bound = f"{_fmt(Fraction(t, s))} <= {_fmt(Fraction(2 * m + 1, 18))}"
-        return _ce(f"0 <= g <= {bound}", _shown(p, q, raw), n=n)
+        return _ce(f"0 <= g <= {bound}", Fraction(p, q), n=n)
 
 
 @_claim("P10", _m_range)
@@ -663,11 +646,11 @@ def _check_cor10(config, ev):
     members = frozenset(extremal.equality_set("G_THETA", config.max_n))
 
     def on_families(ev, n):
-        p, q, raw = _read(ev.dev_g, n)
+        p, q = _read(ev.dev_g, n)
         t, s = extremal._theta_parts(n.bit_length() - 1)
         if (p * s == t * q) != (n in members):
-            shown = _shown(p, q, raw)
-            return _ce("g = theta_n exactly on the rounded families", shown, n=n)
+            expected = "g = theta_n exactly on the rounded families"
+            return _ce(expected, Fraction(p, q), n=n)
 
     return _n_range(config, "COR10"), on_families
 
@@ -698,10 +681,10 @@ def _check_oracle(ev, row):
     """Closed-form evaluators agree with the defining sums, term by term."""
     n, *refs = row
     for function, field, ref in zip("VUG", (ev.sum_v, ev.sum_u, ev.sum_g), refs):
-        p, q, raw = _read(field, n)
+        p, q = _read(field, n)
         a, b = ref.as_integer_ratio()
         if p * b != a * q:
-            return _ce(ref, _shown(p, q, raw), n=n, function=function)
+            return _ce(ref, Fraction(p, q), n=n, function=function)
 
 
 THEOREM_IDS = tuple(_SETUPS)

@@ -720,16 +720,31 @@ def test_table_over_cells_cap_exits_3_at_once(capsys, monkeypatch):
         cli.EVAL_FUNCTIONS, "g", lambda n: pytest.fail("evaluated past the cap")
     )
     most_rows = sums.DEFAULT_BRUTE_CAP + 1
-    # every function once, at the most rows a table takes, is within the cap
-    assert len(cli.EVAL_FUNCTIONS) * most_rows == cli.TABLE_CELLS_CAP
-    for names, rows in ((13, most_rows), (1000, 60000)):
+    # every function once, at the most rows a table takes, is the cells cap
+    cells = len(cli.EVAL_FUNCTIONS) * most_rows
+    for names, rows in ((len(cli.EVAL_FUNCTIONS) + 1, most_rows), (1000, 60000)):
         start = time.perf_counter()
         code, out, err = run(
             capsys, "table", ",".join(["g"] * names), "1", str(rows), "--format", "csv"
         )
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
-        assert str(cli.TABLE_CELLS_CAP) in err and "TABLE_CELLS_CAP" in err
+        assert str(cells) in err and "oddsum.sums.DEFAULT_BRUTE_CAP" in err
+
+
+def test_table_cells_cap_follows_the_brute_cap(capsys, monkeypatch):
+    # 12 columns of 5,000,000 rows are past the cells cap of the default row
+    # cap, 12 * (2**22 + 1), but within that of a row cap raised to 2**23:
+    # the table starts, and its first row fails before any cell is printed
+    def fails(n):
+        raise ValueError(f"no value at {n}")
+
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 1 << 23)
+    monkeypatch.setitem(cli.EVAL_FUNCTIONS, "g", fails)
+    names = ",".join(["g"] * len(cli.EVAL_FUNCTIONS))
+    code, out, err = run(capsys, "table", names, "1", "5000000")
+    assert code == 2 and out == ""
+    assert "no value at 1" in err
 
 
 def test_table_lambda_m_past_its_cap_exits_3_at_once(capsys):

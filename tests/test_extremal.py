@@ -282,3 +282,18 @@ def test_scan_g_below_examples(monkeypatch):
     monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 999)
     with pytest.raises(ResourceLimitError):
         scan_g_below(Fraction(1, 4), 1000)
+
+
+BELOW_THE_DOMAIN = {
+    "lambda_m": lambda: lambda_m(-1),
+    "argmax_g": lambda: argmax_g(-1),
+    "perfect_mean_solutions": lambda: perfect_mean_solutions(0),
+    "scan_g_below": lambda: scan_g_below(Fraction(1, 4), -1),
+    "scan_sums": lambda: next(sums.scan_sums(0)),  # a generator raises when run
+}
+
+
+@pytest.mark.parametrize("name", BELOW_THE_DOMAIN)
+def test_arguments_below_the_domain_raise_domain_error(name):
+    with pytest.raises(DomainError, match=name):
+        BELOW_THE_DOMAIN[name]()

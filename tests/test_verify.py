@@ -280,9 +280,9 @@ FAULTS = [
     ("P1B", "sum_v", shifted((31, 93), SEVENTH),
      "P1B fail checked=31 n=31 expected=strictly between 62/3 and 64/3"
      " actual=2403/112"),
-    # an int value prints as the float 3 * V / 3, as it always has
+    # an int value reports as the exact ratio it was read as
     ("P1B", "sum_v", lambda fn: lambda n: int(fn(n)) if n in (5, 15) else fn(n),
-     "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=3.0"),
+     "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=3"),
     # V(5) = 15/4 moved onto either bound
     ("P1B", "sum_v", shifted((5, 15), Fraction(1, 4)),
      "P1B fail checked=5 n=5 expected=strictly between 10/3 and 4 actual=4"),
@@ -311,8 +311,10 @@ FAULTS = [
     # v(5) = 5/12 moved onto the lower bound, which only powers of two reach
     ("COR4", "dev_v", shifted((5, 15), -Fraction(1, 3)),
      "COR4 fail checked=5 n=5 expected=1/12 exactly iff n = 2^m actual=1/12"),
+    # a float value reports as the exact binary fraction it holds
     ("COR4", "dev_v", as_float,
-     "COR4 fail checked=1 n=1 expected=in [1/3, 1/3] actual=0.3333333333333333"),
+     "COR4 fail checked=1 n=1 expected=in [1/3, 1/3]"
+     " actual=6004799503160661/18014398509481984"),
     ("P4B", "sum_g", shifted((5, 15), 1),
      "P4B fail checked=5 n=5 expected=<= 35/3 actual=25/2"),
     ("P4B", "sum_g", shifted((5, 15), -1),
@@ -334,7 +336,7 @@ FAULTS = [
     ("P2D", "dev_v", shifted((21, 63), SEVENTH),
      "P2D fail checked=21 n=21 expected=2/3 actual=17/21"),
     ("P2D", "dev_v", as_float,
-     "P2D fail checked=1 n=1 expected=2/3 actual=0.6666666666666666"),
+     "P2D fail checked=1 n=1 expected=2/3 actual=6004799503160661/9007199254740992"),
     ("COR6", "dev_g", shifted((54,), 1),
      "COR6 fail checked=6 p=6 r=1 expected=g(54) < g(52) actual=49/32 vs 19/32"),
     ("COR6", "dev_g", shifted((54,), SEVENTH),
@@ -405,6 +407,24 @@ FAULTS = [
      "T5 fail checked=8 n=8 expected=lower equality iff n = 2^m actual=309/56"),
     ("T5", "sum_v", shifted((7,), -Fraction(1, 8)),
      "T5 fail checked=7 n=7 expected=upper equality iff n = 2^m - 1 actual=41/8"),
+    # one row per T2 branch but the even range, which U(6) + 1 reaches in
+    # test_corrupted_u_fails_oracle_and_sharp_bounds; each offset moves 3U(n)
+    # by whole steps from 3U(1) = 3, 3U(3) = 15, 3U(4) = 18, 3U(6) = 42 and
+    # 3U(7) = 63
+    ("T2", "sum_u", shifted((4,), Fraction(1, 3)),
+     "T2 fail checked=4 n=4 expected=3*U(n) = 18 iff n = 2^m actual=19"),
+    ("T2", "sum_u", shifted((6,), -Fraction(1, 3)),
+     "T2 fail checked=6 n=6 expected=3*U(n) = 42 iff n = 2^m - 2 actual=41"),
+    ("T2", "sum_u", shifted((1,), -Fraction(1, 3)),
+     "T2 fail checked=1 n=1 expected=3*U(n) >= 3 actual=2"),
+    ("T2", "sum_u", shifted((3,), -Fraction(1, 3)),
+     "T2 fail checked=3 n=3 expected=3*U(n) >= 15 actual=14"),
+    ("T2", "sum_u", shifted((7,), -Fraction(4, 3)),
+     "T2 fail checked=7 n=7 expected=3*U(n) = 59 iff n = 2^m + 1 actual=59"),
+    ("T2", "sum_u", shifted((1,), Fraction(1, 3)),
+     "T2 fail checked=1 n=1 expected=3*U(n) <= 3 actual=4"),
+    ("T2", "sum_u", shifted((7,), -Fraction(2, 3)),
+     "T2 fail checked=7 n=7 expected=3*U(n) = 63 iff n = 2^m - 1 actual=61"),
     ("L1", "h", shifted((6, 12), 3),
      "L1 fail checked=6 n=6 expected=in [0, 5] actual=6"),
     ("L1", "h", shifted((7,), 1),
@@ -503,10 +523,12 @@ def test_p2c_scan_evaluates_v_once_per_n():
 
     report = check("P2C", SMOKE, dataclasses.replace(Evaluators(), dev_v=counted))
     assert report.status == "pass"
-    # the random trials still evaluate every prefix, v(n) itself twice
-    trial_calls = SMOKE.random_big_trials * (SMOKE.random_bits + 1)
     assert calls[: SMOKE.max_n] == list(range(1, SMOKE.max_n + 1))
-    assert len(calls) == SMOKE.max_n + trial_calls
+    # a trial starts from its 6-bit prefix, which the scan of n <= 64 holds,
+    # and reads v of each longer prefix once, shortest first, n itself last
+    trials, widths = verify._random_args(SMOKE, "P2C"), range(7, SMOKE.random_bits + 1)
+    bits = SMOKE.random_bits
+    assert calls[SMOKE.max_n :] == [n >> (bits - w) for n in trials for w in widths]
 
 
 def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
@@ -611,8 +633,12 @@ def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
     assert check("P5C", SMOKE, ev).line() == (
         "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"
     )
-    assert verify._read(corrupted, 5) == (7, 6, Fraction(7, 6))
-    # the shipped kernels themselves are read through their integer cores
+    assert verify._read(corrupted, 5) == (7, 6)
+    # the shipped kernels are read through their integer cores, whose pairs
+    # are unreduced, and a wrapper by the ratio of what it returns
     default = Evaluators()
     for name in ("sum_v", "sum_g", "dev_v", "dev_u", "dev_g"):
-        assert verify._read(getattr(default, name), 5)[2] is None
+        assert getattr(default, name) in verify._CORES
+    assert dev_v(6) == Fraction(1, 4)
+    assert verify._read(dev_v, 6) == (3, 12)
+    assert verify._read(lambda n: dev_v(n), 6) == (1, 4)
