@@ -1,12 +1,13 @@
 """Exact arithmetic for partial sums of the largest-odd-divisor function.
 
-Evaluators for V, U, G and their deviations v, u, g: each sum with an
-O(n) oracle and a closed form built from two digit kernels (the digit
-reversal of n and the zero-digit functional h, from one product
-n * reverse(n)), each deviation with that closed form and an independent
-recurrence as its second evaluator.  Also block extrema of g, the
-solved equality-set enumerations, and a checker harness that verifies
-every sharp bound and identity mechanically.
+Evaluators for V, U, G and their deviations v, u, g.  Each deviation's
+closed form lives once, in deviations, built from two digit kernels (the
+digit reversal of n and the zero-digit functional h, from one product
+n * reverse(n)), and u and g have an independent recurrence as their
+second evaluator.  Each sum is its envelope off by a deviation, with an
+O(n) oracle.  Also block extrema of g, the solved equality-set
+enumerations, and a checker harness that verifies every sharp bound and
+identity mechanically.
 """
 
 from .bitcore import (
@@ -23,11 +24,9 @@ from .bitcore import (
 from .deviations import (
     dev_g,
     dev_g_closed,
-    dev_g_digit,
     dev_u,
     dev_u_closed,
     dev_v,
-    dev_v_recur,
     h_eval,
 )
 from .extremal import (

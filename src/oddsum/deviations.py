@@ -18,16 +18,14 @@ two digit kernels, the digit reversal of n and the functional h below
     u(n) = (2 * h(n >> 1) - e0*n) / 3
     g(n) = n/3 - (n+1)*v(n) - u(n)
 
-These closed forms (dev_v, dev_u_closed, dev_g_closed) are the package's
-one kernel family; sums builds V, U and G from the same two kernels.
-Each deviation keeps an independent second evaluator, which the
-checkers and tests compare against the closed form:
-
-  * v: dev_v_recur, the doubling rule one digit at a time;
-  * u: dev_u, the doubling rule carrying the integer 3u;
-  * g: dev_g, the doubling rules carrying v alongside, and dev_g_digit,
-    half the sum of v(floor(n / 2**(p+1))) over the zero digits p of n
-    below the leading one.
+Each closed form lives once, as an integer core: _dev_v_core, _triple_u
+and _dev_g_closed_core, which dev_v, dev_u_closed and dev_g_closed wrap
+and from which sums builds V, U and G, so the checkers of V, U and G
+check every closed form.  dev_u and dev_g, the doubling rules carrying
+3u and v, are their independent second evaluators.  dev_v_recur (v's
+rule digit by digit) and dev_g_digit (half the sum of v(n >> (p+1))
+over the zero digits p < m of n) are references for the tests and the
+benchmark that no checker reads.
 
 h(n) = sum of floor(n / 2**(k+1)) over the zero digits k of n below the
 leading one; it sits in [0, n-1], vanishing exactly on the all-ones
@@ -245,14 +243,17 @@ def dev_g(n: int) -> Fraction:
     return _dyadic(_dev_g_core(n))
 
 
-def dev_g_closed(n: int) -> Fraction:
-    """g(n) by the closed form n/3 - (n+1) v(n) - u(n), over 3 * 2**m."""
+def _dev_g_closed_core(n: int) -> tuple[int, int]:
+    """g(n) as (num, 3 * 2**m) by the closed form n/3 - (n+1) v(n) - u(n)."""
     if n < 0:
         raise DomainError("dev_g_closed requires n >= 0")
-    if n == 0:
-        return Fraction(0)
-    m = n.bit_length() - 1
-    return dyadic_third(((n - _triple_u(n)) << m) - (n + 1) * reverse_digits(n), m)
+    reverse, den = _dev_v_core(n)
+    return ((n - _triple_u(n)) << (den.bit_length() - 2)) - (n + 1) * reverse, den
+
+
+def dev_g_closed(n: int) -> Fraction:
+    """g(n) by the closed form n/3 - (n+1) v(n) - u(n), over 3 * 2**m."""
+    return _dyadic(_dev_g_closed_core(n))
 
 
 def dev_g_digit(n: int) -> Fraction:

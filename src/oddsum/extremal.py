@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
-from .deviations import _dev_g_core, dev_g, dev_v
+from .deviations import _dev_g_core, _dev_v_core, dev_g
 from .sums import _check_brute_cap, u_fast, v_fast
 
 __all__ = [
@@ -123,9 +123,8 @@ def _block_g_numerators(n: int, m: int) -> tuple[list[int], int]:
         raise DomainError("block_g_values requires m >= 0")
     _check_brute_cap("the block size 2**m", 1 << m)
     m0 = n.bit_length() - 1
-    scale = 3 << m0
-    g_nums = [int(dev_g(n) * scale)]
-    v_nums = [int(dev_v(n) * scale)]
+    g_nums = [_dev_g_core(n)[0]]  # both over 3 * 2**m0
+    v_nums = [_dev_v_core(n)[0]]
     for level in range(1, m + 1):
         size = 2 * len(g_nums)
         doubled = [g + g for g in g_nums]

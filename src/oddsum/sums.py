@@ -16,20 +16,18 @@ in closed form.  The doubling rules
     G(2n) = n(n+1) + G(n) - V(n)/2
     G(2n+1) = (n+1)**2 + G(n)
 
-are affine, so each sum is its envelope minus a deviation that depends
-on the binary digits of n only through the digit reversal and the
-functional h of the deviations module (m = floor_lg(n), e0 the parity
-of n, 3u = 2h(n >> 1) - e0*n):
+are affine, so each sum is its envelope off by a deviation of the
+deviations module:
 
-    V(n) = 2n/3 + reverse(n) / (3 * 2**m)
-    U(n) = (n**2 + n - 3u) / 3
-    G(n) = (n**2 + n + 3u) / 3 + (n+1) * reverse(n) / (3 * 2**m)
+    V(n) = 2n/3 + v(n)      U(n) = (n**2 + n)/3 - u(n)
+    G(n) = n(n+2)/3 - g(n)
 
-V(n) and G(n) are dyadic rationals (denominator dividing 2**floor_lg(n)),
-U(n) an integer; all arithmetic here is exact.  The fast evaluators do
-integer arithmetic only and build one Fraction at the end, reduced by
-bitcore.dyadic_third in time linear in the width.  Their cost is that
-of h, one product: O(M(m)) with M(m) the cost of an m-bit product.
+The fast evaluators take these envelopes over 3 * 2**m, m = floor_lg(n),
+and the deviations' integer cores, looked up in that module, where each
+digit formula lives once.  V(n) and G(n) are dyadic rationals, U(n) an
+integer, and each evaluator builds one Fraction at the end, reduced by
+bitcore.dyadic_third in time linear in the width.  Their cost is that of
+h, one product: O(M(m)) with M(m) the cost of an m-bit product.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
@@ -40,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .bitcore import DomainError, ResourceLimitError, reverse_digits
-from .deviations import _dyadic, _triple_u
+from . import deviations
+from .bitcore import DomainError, ResourceLimitError
 
 __all__ = [
     "CESARO_FUNCTIONS",
@@ -136,36 +134,36 @@ def scan_sums(limit: int) -> Iterator[tuple[int, Fraction, int, Fraction]]:
 
 
 def _v_fast_core(n: int) -> tuple[int, int]:
-    """V(n) as (num, 3 * 2**m), unreduced."""
+    """V(n) as (num, 3 * 2**m), unreduced: the envelope 2n/3 plus v's core."""
     if n <= 0:
         raise DomainError("v_fast requires n >= 1")
-    m = n.bit_length() - 1
-    return (n << (m + 1)) + reverse_digits(n), 3 << m
+    v, den = deviations._dev_v_core(n)
+    return (n << (den.bit_length() - 1)) + v, den
 
 
 def v_fast(n: int) -> Fraction:
-    """V(n) = 2n/3 + v(n), with v the digit reversal over 3 * 2**m."""
-    return _dyadic(_v_fast_core(n))
+    """V(n) = 2n/3 + v(n)."""
+    return deviations._dyadic(_v_fast_core(n))
 
 
 def u_fast(n: int) -> int:
-    """U(n) = (n**2 + n)/3 - u(n), with 3u = 2h(n >> 1) - e0*n."""
+    """U(n) = (n**2 + n)/3 - u(n)."""
     if n < 0:
         raise DomainError("u_fast requires n >= 0")
-    return (n * n + n - _triple_u(n)) // 3
+    return (n * n + n - deviations._triple_u(n)) // 3
 
 
 def _g_fast_core(n: int) -> tuple[int, int]:
-    """G(n) as (num, 3 * 2**m), unreduced."""
+    """G(n) as (num, 3 * 2**m), unreduced: the envelope n(n+2)/3 minus g's core."""
     if n <= 0:
         raise DomainError("g_fast requires n >= 1")
-    m = n.bit_length() - 1
-    return ((n * n + n + _triple_u(n)) << m) + (n + 1) * reverse_digits(n), 3 << m
+    g, den = deviations._dev_g_closed_core(n)
+    return (n * (n + 2) << (den.bit_length() - 2)) - g, den
 
 
 def g_fast(n: int) -> Fraction:
-    """G(n) = n(n+2)/3 - g(n), with g = n/3 - (n+1) v(n) - u(n)."""
-    return _dyadic(_g_fast_core(n))
+    """G(n) = n(n+2)/3 - g(n)."""
+    return deviations._dyadic(_g_fast_core(n))
 
 
 CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")

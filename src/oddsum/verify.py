@@ -56,8 +56,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import deviations, extremal, sums
-from .bitcore import ResourceLimitError, format_rational, hat, round_pow2_over_3, tilde
+from . import bitcore, deviations, extremal, sums
 
 __all__ = [
     "CLAIMS",
@@ -96,7 +95,8 @@ TRIAL_WORK_CAP = 1 << 28  # trials * max(bits, _H_SPLIT_BITS) ** 2
 class RangeConfig:
     """How far each checker scans, and how the random trials are seeded.
 
-    Raises ResourceLimitError for a range past one of the caps above.
+    Raises DomainError for max_n below 1 and ResourceLimitError for a
+    range past one of the caps above.
     """
 
     max_n: int = 1 << 16
@@ -108,6 +108,8 @@ class RangeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.max_n < 1:
+            raise bitcore.DomainError("--max-n must be at least 1")
         cells = (self.max_r + 1) * (self.max_p + 1)
         work = self.random_big_trials * max(self.random_bits, _H_SPLIT_BITS) ** 2
         trials = f"--trials * max(--bits, {_H_SPLIT_BITS})**2"
@@ -119,7 +121,7 @@ class RangeConfig:
             (trials, work, "TRIAL_WORK_CAP", TRIAL_WORK_CAP),
         ):
             if value > cap:  # not printed: it may be past the int/str digit limit
-                raise ResourceLimitError(
+                raise bitcore.ResourceLimitError(
                     f"{what} is past {name} = {cap} (oddsum.verify.{name})"
                 )
 
@@ -186,7 +188,7 @@ class VerifyReport:
 
 
 def _fmt(value) -> str:
-    return format_rational(value) if isinstance(value, Fraction) else str(value)
+    return bitcore.format_rational(value) if isinstance(value, Fraction) else str(value)
 
 
 def _ce(expected, actual, **inputs) -> Counterexample:
@@ -470,7 +472,7 @@ def _check_p2c(config, ev):
 @_claim("P2D", _n_range_and_trials(1))
 def _check_p2d(ev, n):
     """Complement symmetry: v(n) + v(hat(n)) = 2/3."""
-    (a, b), (c, d) = _read(ev.dev_v, n), _read(ev.dev_v, hat(n))
+    (a, b), (c, d) = _read(ev.dev_v, n), _read(ev.dev_v, bitcore.hat(n))
     if 3 * (a * d + c * b) != 2 * b * d:
         return _ce(Fraction(2, 3), Fraction(a, b) + Fraction(c, d), n=n)
 
@@ -478,7 +480,7 @@ def _check_p2d(ev, n):
 @_claim("P6B", _n_range_and_trials(1))
 def _check_p6b(ev, n):
     """Reflection symmetry: g(n) = g(tilde(n))."""
-    (a, b), (c, d) = _read(ev.dev_g, n), _read(ev.dev_g, tilde(n))
+    (a, b), (c, d) = _read(ev.dev_g, n), _read(ev.dev_g, bitcore.tilde(n))
     if a * d != c * b:
         return _ce(Fraction(c, d), Fraction(a, b), n=n)
 
@@ -624,8 +626,8 @@ def _check_p10(ev, m):
         and max_points == report.max_points
     )
     if m >= 2:
-        rounded = tuple(sorted(base - 1 + round_pow2_over_3(k) for k in (m, m + 1)))
-        ok = ok and len(max_points) == 2 and max_points == rounded
+        rounded = (base - 1 + bitcore.round_pow2_over_3(k) for k in (m, m + 1))
+        ok = ok and len(max_points) == 2 and max_points == tuple(sorted(rounded))
     if ok:
         return None
     expected = (

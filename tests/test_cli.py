@@ -441,6 +441,14 @@ def test_verify_range_over_cap_exits_3_at_once(capsys, argv, cap, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("theorem", ["all", "ORACLE_UVG", "P1B"])
+def test_verify_max_n_below_one_exits_2_before_any_checker(capsys, theorem):
+    # every n range and the scan of the sums start at n = 1
+    code, out, err = run(capsys, "verify", theorem, "--max-n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n must be at least 1\n"
+
+
 # --decimal N: integer rendering against the Decimal division it replaces
 
 # up to 20000 bits: at 5000 digits only operands past 16667 bits take the

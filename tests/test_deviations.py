@@ -353,12 +353,14 @@ def test_h_walk_matches_the_defining_sum_at_every_width():
             assert h_eval(n) == h_linear(n), (n, m)
 
 
-# The integer cores the verify checkers read in place of the shipped kernels:
-# (num, den) with den = 3 * 2**m, or 3 for u, whose Fraction is the kernel's.
+# The integer cores the verify checkers read in place of the shipped kernels,
+# and g's closed form, which sums.g_fast reads: (num, den) with den = 3 * 2**m,
+# or 3 for u, whose Fraction is the kernel's.
 CORES = [
     (deviations._dev_v_core, dev_v),
     (deviations._dev_u_core, dev_u),
     (deviations._dev_g_core, dev_g),
+    (deviations._dev_g_closed_core, dev_g_closed),
 ]
 # every width up to 20,000 bits, across dev_g's padding to whole bytes and
 # h's product branch past _H_BASE_BITS digits

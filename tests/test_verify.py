@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oddsum import deviations, extremal, verify
-from oddsum.bitcore import reverse_digits
+from oddsum.bitcore import DomainError, reverse_digits
+from oddsum.cli import main
 from oddsum.deviations import dev_g, dev_u, dev_v
 from oddsum.sums import u_fast, v_fast
 from oddsum.verify import (
@@ -82,6 +83,12 @@ def test_default_config_is_the_documented_range():
         256,
     )
     assert (config.random_big_trials, config.random_bits, config.seed) == (1000, 256, 0)
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_max_n_below_one_is_refused_when_the_range_is_built(max_n):
+    with pytest.raises(DomainError, match="--max-n must be at least 1"):
+        RangeConfig(max_n=max_n)
 
 
 def test_pass_report_counts_the_full_range():
@@ -575,6 +582,23 @@ def test_corrupted_digit_table_fails_verify(
     entries[chunk] = tuple(entry)
     monkeypatch.setattr(deviations, table, entries)
     assert check(theorem, SMOKE).line() == line
+
+
+def test_eval_g_runs_the_kernel_that_verify_reads_through_g(monkeypatch, capsys):
+    # g's closed-form core, off by 1/12 at n = 5 where sums.g_fast looks it up:
+    # ORACLE_UVG reads it through G, and `oddsum eval g` prints it
+    core = deviations._dev_g_closed_core
+
+    def corrupted(n):
+        num, den = core(n)
+        return num + (n == 5), den
+
+    monkeypatch.setattr(deviations, "_dev_g_closed_core", corrupted)
+    assert check("ORACLE_UVG", SMOKE).line() == (
+        "ORACLE_UVG fail checked=5 n=5 function=G expected=23/2 actual=137/12"
+    )
+    assert main(["eval", "g", "5"]) == 0
+    assert capsys.readouterr().out == "1/4\n"
 
 
 # The checkers read a shipped kernel through its integer core and any other
