@@ -12,11 +12,11 @@ significant digits, round-half-even; exact p/q strings otherwise).
 One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
 stream out as they are computed.
---decimal N costs about one integer division at the value's width and
-prints what Decimal division at precision N prints; N beyond
-DECIMAL_DIGITS_CAP exits 3 before any work.  main() builds its
-parser on the first call and every later call in the process reuses it;
-build_parser() still returns a fresh one.
+--decimal N prints what Decimal division at precision N prints, from
+operands cut to about 4N bits, or converted to Decimal by halves when N
+is large; N beyond DECIMAL_DIGITS_CAP exits 3 before any work.  main()
+builds its parser on the first call and every later call in the process
+reuses it; build_parser() still returns a fresh one.
 Arguments are decimal or 0b-prefixed binary.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 resource cap exceeded, 141
 (128 + SIGPIPE) when the reader closes stdout early.  The
@@ -36,7 +36,8 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
+from decimal import Inexact, localcontext
 from fractions import Fraction
 
 from . import sums, verify
@@ -58,8 +59,8 @@ __all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
 # --decimal N refuses a larger N.  N costs mostly the memory of its
 # output, about 2.3 bytes a digit: `eval v 13` peaks at 19 MB for 10**6
 # digits (0.01 s) and 86 MB for 3 * 10**7 (0.17 s).  A million digits is
-# three times the width of lambda_m at LAMBDA_M_CAP, the widest value
-# eval makes from a small argument.
+# three times the width of lambda_m at LAMBDA_M_CAP, the widest value eval
+# makes from a small argument: 0.9 s there, 0.6 s at 400,000 digits.
 DECIMAL_DIGITS_CAP = 10**6
 
 EVAL_FUNCTIONS = {
@@ -112,18 +113,53 @@ def parse_nat(text: str) -> int:
 _LOG10_2 = 30102999566398119
 
 
+def _to_decimal(n: int) -> Decimal:
+    """Decimal(n) exactly; past 2**14 bits, where Decimal(int) is quadratic in
+    the digits, from halves split on a power of two and one exact multiply-add."""
+    half = n.bit_length() >> 1
+    if half <= 1 << 13:  # 0.5 ms at 2**14 bits, as much as two halves and a join
+        return Decimal(n)
+    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        low = _to_decimal(n & ((1 << half) - 1))
+        return _to_decimal(n >> half) * Decimal(2) ** half + low
+
+
+def _quotient(a: int, b: int, shift: int, bits: int) -> tuple[int, int]:
+    """floor(a * 10**shift / b) for a, b >= 1 and a remainder, 0 iff exact; given as
+    1 when a, b and 10**|shift| cut to `bits` bits put the quotient between two
+    bounds with one floor, the lower not an integer, else divided at full width."""
+    def cut(lo: int, hi: int, e: int = 0) -> tuple[int, int, int]:  # [lo, hi] * 2**e
+        drop = max(hi.bit_length() - bits, 0)
+        return lo >> drop, -(-hi >> drop), e + drop
+
+    s, lo, hi, e = abs(shift), 1, 1, 0
+    if max(a.bit_length(), b.bit_length()) > bits:  # else exact costs no more
+        for digit in map(int, bin(s)[2:]):  # floor and ceiling chains to 5**s
+            lo, hi, e = cut(lo * lo * 5**digit, hi * hi * 5**digit, 2 * e)
+        (a_lo, a_hi, da), (b_lo, b_hi, db) = cut(a, a), cut(b, b)
+        if shift >= 0:  # 10**s = 5**s * 2**s
+            a_lo, a_hi, z = a_lo * lo, a_hi * hi, da - db + e + s
+        else:
+            b_lo, b_hi, z = b_lo * lo, b_hi * hi, da - db - e - s
+        # a_lo * 2**z / b_hi <= a * 10**shift / b <= a_hi * 2**z / b_lo
+        up, down = max(z, 0), max(-z, 0)
+        quotient, rest = divmod(a_lo << up, b_hi << down)
+        if rest and a_hi << up < (quotient + 1) * (b_lo << down):
+            return quotient, 1
+    return divmod(a * 10**s, b) if shift >= 0 else divmod(a, b * 10**s)
+
+
 def _decimal_str(value: Fraction, digits: int) -> str:
     """str(Decimal(p) / Decimal(q)) at prec=digits, ROUND_HALF_EVEN, byte for byte.
 
-    Turning an int into a Decimal is quadratic in its digits.  When p or
-    q is wider than the digits asked for, one integer division first
-    yields a quotient of digits+1 to digits+3 digits and only that
-    coefficient becomes a Decimal.  An inexact quotient gets a sticky
-    digit 1, which rounds to any precision up to its own length as the
-    exact value would; an exact one sheds trailing zeros toward exponent
-    0, the ideal exponent of a division of integers.  Narrower operands
-    cost no more to convert than that quotient, so they are divided as
-    Decimals.
+    When p or q is wider than the digits asked for, _quotient yields a
+    quotient of digits+1 to digits+3 digits from operands cut to
+    4 * digits + 96 bits, and only that coefficient becomes a Decimal.
+    An inexact quotient gets a sticky digit 1, which rounds to any
+    precision up to its own length as the exact value would; an exact
+    one sheds trailing zeros toward exponent 0, the ideal exponent of a
+    division of integers.  Narrower operands cost no more to convert
+    than that quotient, so they are divided as Decimals.
     """
     with localcontext() as ctx:
         ctx.prec = digits  # ValueError below 1, as the division gave
@@ -132,14 +168,14 @@ def _decimal_str(value: Fraction, digits: int) -> str:
         magnitude = abs(p)
         # 10/3 bits a digit, a shade over log2(10)
         if 3 * max(magnitude.bit_length(), q.bit_length()) <= 10 * digits:
-            return str(Decimal(p) / Decimal(q))
+            if q & (q - 1) == 0:  # p / 2**k is p * 5**k / 10**k: rounded, not divided
+                k = q.bit_length() - 1
+                return str(_to_decimal(p * 5**k).scaleb(-k))
+            return str(_to_decimal(p) / _to_decimal(q))
         # magnitude/q > 2**k >= 10**(digits - shift): the quotient reaches 10**digits
         k = magnitude.bit_length() - q.bit_length() - 1
         shift = digits - (k * _LOG10_2 // 10**17 - 1)
-        if shift >= 0:
-            coefficient, rest = divmod(magnitude * 10**shift, q)
-        else:
-            coefficient, rest = divmod(magnitude, q * 10**-shift)
+        coefficient, rest = _quotient(magnitude, q, shift, 4 * digits + 96)
         exponent = -shift
         if rest:
             coefficient, exponent = 10 * coefficient + 1, exponent - 1
@@ -147,11 +183,10 @@ def _decimal_str(value: Fraction, digits: int) -> str:
             while exponent < 0 and coefficient % 10 == 0:
                 coefficient //= 10
                 exponent += 1
-        if p < 0:
-            coefficient = -coefficient
-        # Decimal(int) and a (sign, digits, exponent) tuple are exact and never
+        # _to_decimal and a (sign, digits, exponent) tuple are exact and never
         # pass through str(int), so a coefficient past the digit limit is fine
-        result = ctx.multiply(Decimal(coefficient), Decimal((0, (1,), exponent)))
+        scale = Decimal((int(p < 0), (1,), exponent))  # -1 or 1 times 10**exponent
+        result = ctx.multiply(_to_decimal(coefficient), scale)
     return str(result)
 
 

@@ -73,8 +73,8 @@ __all__ = [
 ]
 
 # h walks its defining sum on at most this many digits and takes the product
-# past them; near 100 digits both cost about 4 us (2 cores, Python 3.11).
-_H_BASE_BITS = 104
+# past them; near 90 digits both cost about 2 us (2 cores, Python 3.11).
+_H_BASE_BITS = 88
 
 
 def _chunk_table(extend, start):

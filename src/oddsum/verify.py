@@ -459,7 +459,9 @@ def _check_p2c(config, ev):
         k = max(n.bit_length() - len(memo).bit_length(), 0) + 1
         total, den = memo[n >> k], 3 << (n >> k).bit_length()
         for j in range(k - 1, -1, -1):
-            (num,), wide = _over(den << 1, (_read(ev.dev_v, n >> j),))
+            num, q = _read(ev.dev_v, n >> j)
+            wide = math.lcm(den << 1, q) if (den << 1) % q else den << 1
+            num *= wide // q
             total, den = total * (wide // den) + num, wide
         if 3 * (num + total) != 2 * n.bit_count() * den:
             return _ce(Fraction(2 * n.bit_count(), 3), Fraction(num + total, den), n=n)

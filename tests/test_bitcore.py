@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oddsum import bitcore, deviations, sums
 from oddsum.bitcore import (
@@ -45,13 +45,36 @@ def test_reverse_digits_examples():
         reverse_digits(0)
 
 
-@given(st.integers(min_value=1, max_value=1 << 300))
-def test_reverse_digits_against_the_digit_loop(n):
+def digit_loop_reverse(n):
     # digit k of n lands at position floor_lg(n) - k
     m = floor_lg(n)
-    assert reverse_digits(n) == sum(((n >> k) & 1) << (m - k) for k in range(m + 1))
+    return sum(((n >> k) & 1) << (m - k) for k in range(m + 1))
+
+
+# widths on both sides of a whole number of bytes, and past 16384 digits
+WIDTHS = [1, 7, 8, 9, 15, 16, 17, 8191, 8192, 8193, 16383, 16384, 16385, 20000]
+
+
+widths = st.integers(1, 20000)
+
+
+@given(widths.flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)))
+@example(1)
+def test_reverse_digits_against_the_digit_loop(n):
+    assert reverse_digits(n) == digit_loop_reverse(n)
     if n % 2:
         assert reverse_digits(reverse_digits(n)) == n
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_reverse_digits_at_byte_boundaries(bits):
+    rng = random.Random(bits)
+    ones = (1 << bits) - 1
+    for n in (1 << (bits - 1), ones, (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1):
+        assert reverse_digits(n) == digit_loop_reverse(n)
+    # a power of two reverses to 1, and all ones to themselves
+    assert reverse_digits(1 << (bits - 1)) == 1
+    assert reverse_digits(ones) == ones
 
 
 def test_hat_examples():

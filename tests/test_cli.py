@@ -451,42 +451,104 @@ def test_verify_max_n_below_one_exits_2_before_any_checker(capsys, theorem):
 
 # --decimal N: integer rendering against the Decimal division it replaces
 
-# up to 20000 bits: at 5000 digits only operands past 16667 bits take the
-# integer division, narrower ones the Decimal one
-signed_ints = st.integers(0, 20000).flatmap(
+# up to 40000 bits: at 30 digits operands past 216 bits are cut, at 5000
+# digits only operands past 16667 bits take the integer division
+signed_ints = st.integers(0, 40000).flatmap(
     lambda bits: st.integers(-(1 << bits), 1 << bits)
 )
 exact_denominators = st.builds(
     lambda a, b: 2**a * 5**b, st.integers(0, 300), st.integers(0, 300)
 )
 with_trailing_zeros = st.builds(
-    lambda c, z: Fraction(c * 10**z), st.integers(-999, 999), st.integers(0, 60)
+    lambda c, z: Fraction(c * 10**z), st.integers(-999, 999), st.integers(0, 5000)
 )
 rationals = st.one_of(
-    st.builds(Fraction, signed_ints, st.integers(1, 20000).flatmap(
+    st.builds(Fraction, signed_ints, st.integers(1, 40000).flatmap(
         lambda bits: st.integers(1, 1 << bits)
     )),
     st.builds(Fraction, signed_ints, exact_denominators),
     with_trailing_zeros,
 )
+signs = st.sampled_from([1, -1])
 
 
-@given(rationals, st.sampled_from([1, 2, 3, 6, 30, 5000]))
-@example(Fraction(0), 1)
-@example(Fraction(200), 1)
-@example(Fraction(200), 30)
-@example(Fraction(12300), 2)
-@example(Fraction(12300), 3)
-@example(Fraction(-12300), 30)
-@example(Fraction(10**40), 30)
-@example(Fraction(10**40), 5000)
-@example(Fraction(25, 10**5), 1)
-@example(Fraction(35, 10**5), 1)
-@example(Fraction(-25, 10**5), 1)
-@example(Fraction(1, 4) + Fraction(1, 3 * 10**40), 1)
-@example(Fraction(1, 3), 5000)
-def test_decimal_str_is_the_decimal_division(value, digits):
+def near_ties(digits):
+    """(value, digits): a tie at `digits` digits, (10c+5) * 10**z, exact or
+    moved by 1/(3 * 2**k), far below what cutting the operands can see."""
+    ties = st.builds(
+        lambda c, z, sign: sign * Fraction((10 * c + 5) * 10**z),
+        st.integers(10 ** (digits - 1), 10**digits - 1), st.integers(0, 5000), signs,
+    )  # fmt: skip
+    moved = st.builds(
+        lambda tie, k, sign: tie + sign * Fraction(1, 3 << k),
+        ties, st.integers(4000, 17000), signs,
+    )  # fmt: skip
+    return st.tuples(st.one_of(ties, moved), st.just(digits))
+
+
+decimal_cases = st.one_of(
+    st.tuples(rationals, st.sampled_from([1, 2, 3, 5, 6, 30, 5000])),
+    st.sampled_from([1, 5, 30]).flatmap(near_ties),
+)
+
+# wide operands whose quotient the cut operands settle, and exact wide
+# quotients, ties and near ties that they cannot
+DECIMAL_EXAMPLES = [
+    (Fraction(3**20000, 7**9000), 30),
+    (Fraction(-(5**20000), 3 << 16000), 5),
+    (Fraction(1, 3 << 17000), 1),
+    (Fraction(123 * 10**5000), 1),
+    (Fraction(-(10 * 12345 + 5) * 10**4000), 5),
+    (Fraction(15 * 10**4000) + Fraction(1, 3 << 17000), 1),
+    (Fraction(-15 * 10**4000) + Fraction(1, 3 << 4000), 1),
+    (Fraction(25, 10**5) - Fraction(1, 3 << 4000), 1),
+    (Fraction(25 * 10**40), 1),  # cut without loss: the lower bound is the tie
+]
+
+
+@given(decimal_cases)
+@example((Fraction(0), 1))
+@example((Fraction(200), 1))
+@example((Fraction(200), 30))
+@example((Fraction(12300), 2))
+@example((Fraction(12300), 3))
+@example((Fraction(-12300), 30))
+@example((Fraction(10**40), 30))
+@example((Fraction(10**40), 5000))
+@example((Fraction(25, 10**5), 1))
+@example((Fraction(35, 10**5), 1))
+@example((Fraction(-25, 10**5), 1))
+@example((Fraction(1, 4) + Fraction(1, 3 * 10**40), 1))
+@example((Fraction(1, 3), 5000))
+def test_decimal_str_is_the_decimal_division(case):
+    value, digits = case
     assert cli._decimal_str(value, digits) == str(significant(value, digits))
+
+
+def test_decimal_str_settles_quotients_both_ways(monkeypatch):
+    # _quotient gives an inexact quotient's remainder as 1 when the cut
+    # operands settle it, and the true one when it divides at full width
+    ways = []
+    quotient = cli._quotient
+
+    def spy(a, b, shift, bits):
+        got = quotient(a, b, shift, bits)
+        exact = divmod(a * 10**shift, b) if shift >= 0 else divmod(a, b * 10**-shift)
+        assert got[0] == exact[0] and (got[1] == 0) == (exact[1] == 0)
+        ways.append("cut" if got[1] != exact[1] else "full width")
+        return got
+
+    monkeypatch.setattr(cli, "_quotient", spy)
+    for value, digits in DECIMAL_EXAMPLES:
+        assert cli._decimal_str(value, digits) == str(significant(value, digits))
+    assert ways.count("cut") == 3 and ways.count("full width") == 6
+
+
+@pytest.mark.parametrize("bits", [1, 100, 1 << 14, (1 << 14) + 1, (1 << 15) + 3, 10**5])
+def test_to_decimal_is_decimal_of_the_int(bits):
+    for n in ((1 << bits) - 1, 1 << bits, random.Random(bits).getrandbits(bits)):
+        for signed in (n, -n):
+            assert str(cli._to_decimal(signed)) == str(Decimal(signed))
 
 
 def test_eval_decimal_beyond_digit_limit(capsys):

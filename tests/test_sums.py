@@ -238,6 +238,20 @@ def test_cesaro_means_match_literal_sums():
     assert set(CESARO_FUNCTIONS) == {"const1", "x", "x2", "inv1px"}
 
 
+def odd_square_sums(n):
+    """sum_{k<=n} k * alpha(k): the k = 2**t * j, j odd, add 2**t times the
+    sum of the squares of the a odd j <= n >> t, a(4a^2 - 1)/3."""
+    odd_counts = (((n >> t) + 1) >> 1 for t in range(n.bit_length()))
+    return sum(a * (4 * a * a - 1) // 3 << t for t, a in enumerate(odd_counts))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 9, 64, 1000, 4096])
+def test_sum_k_alpha_against_the_odd_square_sums(bits):
+    top = 1 << (bits - 1)
+    for n in (top, 2 * top - 1, top | random.Random(bits).getrandbits(bits - 1)):
+        assert sums._sum_k_alpha(n) == odd_square_sums(n)
+
+
 @given(st.integers(min_value=1, max_value=1 << 14))
 def test_cesaro_means_stay_near_their_limits(n):
     # |mean - limit| <= C/n for the three rational weights
