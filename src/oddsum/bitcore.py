@@ -20,6 +20,7 @@ __all__ = [
     "DomainError",
     "ResourceLimitError",
     "digit_limit_error",
+    "dyadic_pair",
     "dyadic_third",
     "floor_lg",
     "format_rational",
@@ -117,19 +118,22 @@ if _FROM_COPRIME is None and "_normalize" in (Fraction.__new__.__kwdefaults__ or
 _GCD_BITS = 128  # below 2**128, the C gcd costs no more (about 2 us, Python 3.11)
 
 
-def dyadic_third(num: int, m: int) -> Fraction:
-    """num / (3 * 2**m) in lowest terms, in time linear in the width.
+def dyadic_pair(num: int, m: int) -> tuple[int, int]:
+    """num / (3 * 2**m) in lowest terms as (p, q), in time linear in the width.
 
     It drops at most m trailing zero digits of num and one factor 3, where
-    Fraction(num, 3 << m) would run math.gcd, quadratic in CPython 3.11.
+    math.gcd(num, 3 << m) would be quadratic in CPython 3.11.
     """
-    if m < _GCD_BITS or _FROM_COPRIME is None:
-        return Fraction(num, 3 << m)
     zeros = min((num & -num).bit_length() - 1, m) if num else m
     num, m = num >> zeros, m - zeros
-    if num % 3:
-        return _FROM_COPRIME(num, 3 << m)
-    return _FROM_COPRIME(num // 3, 1 << m)
+    return (num // 3, 1 << m) if num % 3 == 0 else (num, 3 << m)
+
+
+def dyadic_third(num: int, m: int) -> Fraction:
+    """num / (3 * 2**m) as a Fraction in lowest terms, reduced by dyadic_pair."""
+    if m < _GCD_BITS or _FROM_COPRIME is None:
+        return Fraction(num, 3 << m)
+    return _FROM_COPRIME(*dyadic_pair(num, m))
 
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")

@@ -11,7 +11,8 @@ Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
 One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
-stream out as they are computed.
+stream out as they are computed; table reads each shipped kernel over
+windows of up to 4096 n and renders a cell only as its row goes out.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
 is large; N beyond DECIMAL_DIGITS_CAP exits 3 before any work.  main()
@@ -36,20 +37,24 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from decimal import MAX_EMAX, MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from decimal import Inexact, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 from . import sums, verify
 from .bitcore import (
     ResourceLimitError,
     digit_limit_error,
+    dyadic_pair,
+    dyadic_third,
     format_rational,
     hat,
     parse_rational,
     str_digit_limit,
     tilde,
 )
+from .deviations import _g_column, _triple_u as _u3, _window, _windows
 from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
 from .extremal import LAMBDA_M_CAP, argmax_g, lambda_m, scan_g_below, theta
 from .sums import alpha, g_fast, u_fast, v_fast
@@ -113,15 +118,17 @@ def parse_nat(text: str) -> int:
 _LOG10_2 = 30102999566398119
 
 
-def _to_decimal(n: int) -> Decimal:
+def _to_decimal(n: int, power=None) -> Decimal:
     """Decimal(n) exactly; past 2**14 bits, where Decimal(int) is quadratic in
-    the digits, from halves split on a power of two and one exact multiply-add."""
+    the digits, from halves split on a power of two and one exact multiply-add,
+    each power of two converted once."""
     half = n.bit_length() >> 1
     if half <= 1 << 13:  # 0.5 ms at 2**14 bits, as much as two halves and a join
         return Decimal(n)
+    power = power or functools.cache(lambda k: Decimal(2) ** k)
     with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
-        low = _to_decimal(n & ((1 << half) - 1))
-        return _to_decimal(n >> half) * Decimal(2) ** half + low
+        low = _to_decimal(n & ((1 << half) - 1), power)
+        return _to_decimal(n >> half, power) * power(half) + low
 
 
 def _quotient(a: int, b: int, shift: int, bits: int) -> tuple[int, int]:
@@ -164,6 +171,7 @@ def _decimal_str(value: Fraction, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits  # ValueError below 1, as the division gave
         ctx.rounding = ROUND_HALF_EVEN
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN  # every value a kernel returns
         p, q = value.numerator, value.denominator
         magnitude = abs(p)
         # 10/3 bits a digit, a shade over log2(10)
@@ -197,6 +205,23 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
         return format_rational(value)
     except ValueError:  # str() of an int beyond the digit limit
         raise digit_limit_error("the exact value", _EXACT_REMEDY) from None
+
+
+def _exact(p: int, q: int = 1) -> str:
+    """p/q, q >= 1, in lowest terms as format_rational prints it."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # str() of an int beyond the digit limit
+        raise digit_limit_error("the exact value", _EXACT_REMEDY) from None
+
+
+def _cells(values, e: int | None, decimal_digits: int | None):
+    """The rendered cells of values over 3 * 2**e (integers if e is None)."""
+    if decimal_digits is not None:
+        values = values if e is None else (dyadic_third(v, e) for v in values)
+        return map(_render, values, repeat(decimal_digits))
+    pairs = zip(values) if e is None else map(dyadic_pair, values, repeat(e))
+    return itertools.starmap(_exact, pairs)
 
 
 def _check_printable(n: int, remedy: str, what: str = "the argument") -> None:
@@ -354,12 +379,39 @@ def _cmd_table(args) -> int:
         lambda_m(args.stop)  # raises eval's ResourceLimitError, before any row
     _check_printable(args.stop, "every table row prints n in decimal")
     functions = [EVAL_FUNCTIONS[name] for name in names]
-    rows = (
-        [n] + [_render(function(n), args.decimal) for function in functions]
-        for n in range(args.start, args.stop + 1)
-    )
+
+    def window(lo: int, hi: int):
+        """Rows lo..hi, lo = hi = 0 or inside one block, rendered as read."""
+        ns = range(lo, hi + 1)
+        if lo and any(function in _WINDOWED for function in functions):
+            kernels = _window(lo, hi)
+        columns = [
+            _cells(*_WINDOWED[function](*kernels), args.decimal)
+            if lo and function in _WINDOWED
+            else map(_render, map(function, ns), repeat(args.decimal))
+            for function in functions
+        ]
+        return zip(ns, *columns)
+
+    rows = (row for piece in _windows(args.start, args.stop) for row in window(*piece))
     _emit(args, ["n"] + names, rows, (" ".join(map(str, row)) for row in rows))
     return 0
+
+
+# The shipped kernels, found by identity as verify._CORES finds them, and their
+# lazy values over 3 * 2**e (e None: integers) as (values, e) from a window
+# (ns, m, reverse(n), h(n), h(n >> 1)).  Other functions are called once per n.
+_WINDOWED = {
+    v_fast: lambda ns, m, r, h, hh: (map(sums._v_num, ns, repeat(m), r), m),
+    u_fast: lambda ns, m, r, h, hh: (map(sums._u_of, ns, map(_u3, ns, hh)), None),
+    g_fast: lambda ns, m, r, h, hh: (
+        map(sums._g_num, ns, repeat(m), _g_column(ns, m, r, hh)), m
+    ),
+    dev_v: lambda ns, m, r, h, hh: (r, m),
+    dev_u_closed: lambda ns, m, r, h, hh: (map(_u3, ns, hh), 0),
+    dev_g_closed: lambda ns, m, r, h, hh: (_g_column(ns, m, r, hh), m),
+    h_eval: lambda ns, m, r, h, hh: (h, None),
+}
 
 
 def _late(name: str):

@@ -25,7 +25,9 @@ check every closed form.  dev_u and dev_g, the doubling rules carrying
 3u and v, are their independent second evaluators.  dev_v_recur (v's
 rule digit by digit) and dev_g_digit (half the sum of v(n >> (p+1))
 over the zero digits p < m of n) are references for the tests and the
-benchmark that no checker reads.
+benchmark that no checker reads.  Over a window of consecutive n in one
+block, _window doubles reverse and h from the window of n >> 1, and the
+cores' own formulas (_triple_u, _g_num) give 3u and g from them.
 
 h(n) = sum of floor(n / 2**(k+1)) over the zero digits k of n below the
 leading one; it sits in [0, n-1], vanishing exactly on the all-ones
@@ -58,6 +60,7 @@ from h.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .bitcore import DomainError, dyadic_third, reverse_digits
 
@@ -210,9 +213,12 @@ def h_eval(n: int) -> int:
     return total
 
 
-def _triple_u(n: int) -> int:
-    """3u(n) = 2h(n >> 1) - e0*n for n >= 0, taking h of the empty string as 0."""
-    return (2 * h_eval(n >> 1) if n > 1 else 0) - (n & 1) * n
+def _triple_u(n: int, h_half: int | None = None) -> int:
+    """3u(n) = 2h(n >> 1) - e0*n for n >= 0, taking h of the empty string as 0;
+    h_half is h(n >> 1), when the caller has it."""
+    if h_half is None:
+        h_half = h_eval(n >> 1) if n > 1 else 0
+    return 2 * h_half - (n & 1) * n
 
 
 def dev_u_closed(n: int) -> Fraction:
@@ -248,7 +254,47 @@ def _dev_g_closed_core(n: int) -> tuple[int, int]:
     if n < 0:
         raise DomainError("dev_g_closed requires n >= 0")
     reverse, den = _dev_v_core(n)
-    return ((n - _triple_u(n)) << (den.bit_length() - 2)) - (n + 1) * reverse, den
+    return _g_num(n, den.bit_length() - 2, reverse, _triple_u(n)), den
+
+
+def _g_num(n: int, m: int, reverse: int, triple_u: int) -> int:  # g(n) * 3 * 2**m
+    return ((n - triple_u) << m) - (n + 1) * reverse
+
+
+# A window holds at most this many n, and n of at most this many digits in all
+_WINDOW_ROWS, _WINDOW_BITS = 4096, 1 << 22
+
+
+def _windows(start: int, stop: int):
+    """[lo, hi] pieces of [start, stop]: n = 0 alone, else inside one block."""
+    while start <= stop:
+        rows = min(_WINDOW_ROWS, _WINDOW_BITS // max(start.bit_length(), 1))
+        hi = min(stop, start + max(rows, 1) - 1, (1 << start.bit_length()) - 1)
+        yield start, hi
+        start = hi + 1
+
+
+def _window(lo: int, hi: int) -> tuple[range, int, list[int], list[int], list[int]]:
+    """(ns, m, reverse(n), h(n), h(n >> 1)) for ns = lo..hi inside one block I_m,
+    from the window of n >> 1 (at most 2 values: reverse_digits and h_eval, h(0)
+    = 0) by reverse(2x + e) = reverse(x) + (e << m) and h(2x + e) = h(x) + (1-e) x."""
+    ns, m = range(lo, hi + 1), hi.bit_length() - 1
+    if hi - lo < 2:
+        halves = [h_eval(n >> 1) if n > 1 else 0 for n in ns]
+        return ns, m, [reverse_digits(n) for n in ns], [h_eval(n) for n in ns], halves
+    xs, _, reverse_half, h_half, _ = _window(lo >> 1, hi >> 1)
+    top, size = 1 << m, 2 * len(xs)
+    reverse, h, halves = [0] * size, [0] * size, [0] * size
+    reverse[0::2], reverse[1::2] = reverse_half, [r + top for r in reverse_half]
+    h[0::2] = map(int.__add__, h_half, xs)
+    h[1::2] = halves[0::2] = halves[1::2] = h_half
+    cut = slice(lo & 1, size - 1 + (hi & 1))
+    return ns, m, reverse[cut], h[cut], halves[cut]
+
+
+def _g_column(ns: range, m: int, reverse: list[int], halves: list[int]):
+    """g(n) * 3 * 2**m over a window of _window, lazily."""
+    return map(_g_num, ns, repeat(m), reverse, map(_triple_u, ns, halves))
 
 
 def dev_g_closed(n: int) -> Fraction:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
-from .deviations import _dev_g_core, _dev_v_core, dev_g
+from .deviations import _dev_g_core, _dev_v_core, _g_column, _window, _windows, dev_g
 from .sums import _check_brute_cap, u_fast, v_fast
 
 __all__ = [
@@ -281,5 +281,10 @@ def scan_g_below(threshold: Fraction, bound: int) -> list[int]:
         raise DomainError("scan_g_below requires bound >= 0")
     _check_brute_cap("the scan bound", bound)
     p, q = Fraction(threshold).as_integer_ratio()
-    ns = range(1, bound + 1)  # g(n) = num/den < p/q, cross-multiplied: den, q > 0
-    return [n for n, (num, den) in zip(ns, map(_dev_g_core, ns)) if num * q < p * den]
+    found: list[int] = []
+    for lo, hi in _windows(1, bound):  # one window of g at a time
+        ns, m, reverse, _, halves = _window(lo, hi)
+        below = p * (3 << m)  # g(n) = num/(3 * 2**m) < p/q, cross-multiplied
+        g_nums = _g_column(ns, m, reverse, halves)
+        found += (n for n, num in zip(ns, g_nums) if num * q < below)
+    return found

@@ -138,7 +138,11 @@ def _v_fast_core(n: int) -> tuple[int, int]:
     if n <= 0:
         raise DomainError("v_fast requires n >= 1")
     v, den = deviations._dev_v_core(n)
-    return (n << (den.bit_length() - 1)) + v, den
+    return _v_num(n, den.bit_length() - 2, v), den
+
+
+def _v_num(n: int, m: int, reverse: int) -> int:  # V(n) * 3 * 2**m, from reverse(n)
+    return (n << (m + 1)) + reverse
 
 
 def v_fast(n: int) -> Fraction:
@@ -150,7 +154,11 @@ def u_fast(n: int) -> int:
     """U(n) = (n**2 + n)/3 - u(n)."""
     if n < 0:
         raise DomainError("u_fast requires n >= 0")
-    return (n * n + n - deviations._triple_u(n)) // 3
+    return _u_of(n, deviations._triple_u(n))
+
+
+def _u_of(n: int, triple_u: int) -> int:  # U(n), from 3u(n)
+    return (n * n + n - triple_u) // 3
 
 
 def _g_fast_core(n: int) -> tuple[int, int]:
@@ -158,7 +166,11 @@ def _g_fast_core(n: int) -> tuple[int, int]:
     if n <= 0:
         raise DomainError("g_fast requires n >= 1")
     g, den = deviations._dev_g_closed_core(n)
-    return (n * (n + 2) << (den.bit_length() - 2)) - g, den
+    return _g_num(n, den.bit_length() - 2, g), den
+
+
+def _g_num(n: int, m: int, g: int) -> int:  # G(n) * 3 * 2**m, from g(n) * 3 * 2**m
+    return (n * (n + 2) << m) - g
 
 
 def g_fast(n: int) -> Fraction:

@@ -5,7 +5,8 @@ import random
 import subprocess
 import sys
 import time
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from decimal import Inexact
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddsum
-from oddsum import bitcore, cli, sums
+from oddsum import bitcore, cli, deviations, sums
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
 from oddsum.deviations import dev_g_digit, dev_v, dev_v_recur
@@ -551,6 +552,24 @@ def test_to_decimal_is_decimal_of_the_int(bits):
             assert str(cli._to_decimal(signed)) == str(Decimal(signed))
 
 
+def test_decimal_prints_values_past_the_default_exponent_range(capsys):
+    # U(2**k) = (4**k + 2)/3 passes 10**999999, the default Emax, and
+    # v(2**k) = 1/(3 * 2**k) passes 10**-999999, the default Emin
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    wide = Context(prec=5, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    two = Decimal(2)
+    cases = (
+        ("U", 1700000, lambda k: (exact.add(exact.power(two, 2 * k), 2), Decimal(3))),
+        ("v", 3400000, lambda k: (Decimal(1), exact.multiply(3, exact.power(two, k)))),
+    )
+    for function, k, operands in cases:
+        argv = ("eval", function, "0b1" + "0" * k, "--decimal", "5")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == f"{wide.divide(*operands(k))}\n"
+    assert out == "3.4484E-1023503\n"
+
+
 def test_eval_decimal_beyond_digit_limit(capsys):
     # 6000 significant digits of a 12042-digit value: more than str(int) may give
     n = (1 << 20000) - 1
@@ -879,3 +898,72 @@ def test_eval_and_table_print_lowest_terms_across_the_gcd_fallback(capsys):
                 p, _, q = text.partition("/")
                 assert math.gcd(int(p), int(q or 1)) == 1, (fn, arg)
                 assert Fraction(int(p), int(q or 1)) == evaluate(int(arg)), (fn, arg)
+
+
+# table reads the shipped kernels a window at a time; wrapped, each one is
+# called once per n, as any other function is
+START_300 = (1 << 299) + 987654321
+TABLE_ARGVS = [
+    ("V,U,G,v,u,g,h", "1", "70"),
+    ("V,U,G,v,u,g,h", "4090", "4100"),
+    ("g,V,h,u", "8000", "16500"),  # two powers of two and a 4096-row split
+    ("V,u", "0", "5"),  # V has no value at 0: the header, then exit 2
+    ("u,U,v,g", "0", "9"),
+    ("v,theta,hat", "1", "40"),
+    ("h,alpha,tilde,U,lambda_m", "5", "20"),
+    ("V,U,G,v,u,g,h", str(START_300), str(START_300 + 40)),
+    ("V,G,u,h,U,g", "1", "300", "--decimal", "12"),
+    ("g,g", "1", "9"),
+]
+
+
+def table_both_ways(capsys, monkeypatch, *argv):
+    """(code, stdout, stderr) of a table, windowed and per n, and the windows read."""
+    read = []
+    window = cli._window
+
+    def spy(lo, hi):
+        read.append((lo, hi))
+        return window(lo, hi)
+
+    monkeypatch.setattr(cli, "_window", spy)
+    windowed = run(capsys, "table", *argv)
+    with monkeypatch.context() as patch:
+        for name, function in list(cli.EVAL_FUNCTIONS.items()):
+            patch.setitem(cli.EVAL_FUNCTIONS, name, lambda n, f=function: f(n))
+        count = len(read)
+        per_n = run(capsys, "table", *argv)
+        assert len(read) == count  # the wrappers are called once per n
+    return windowed, per_n, read
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", TABLE_ARGVS, ids=" ".join)
+def test_table_windows_print_what_the_per_n_calls_print(
+    capsys, monkeypatch, argv, fmt
+):
+    windowed, per_n, read = table_both_ways(capsys, monkeypatch, *argv, "--format", fmt)
+    assert windowed == per_n
+    start, stop = int(argv[1]), int(argv[2])
+    if windowed[0] == 0:
+        assert read == [piece for piece in deviations._windows(start, stop) if piece[0]]
+        if fmt != "json":
+            assert len(windowed[1].splitlines()) == stop - start + 1 + (fmt == "csv")
+    if argv[:2] == ("V,u", "0"):
+        assert windowed[0] == 2 and "v_fast requires n >= 1" in windowed[2]
+        assert windowed[1] == ("n,V,u\n" if fmt == "csv" else "")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ("plain", "csv"))
+def test_table_exact_value_past_the_digit_limit_exits_3_after_the_same_rows(
+    capsys, monkeypatch, fmt
+):
+    # U(n) is about n**2 / 3: its digits pass the limit a few rows in
+    first = math.isqrt(3 * 10**DIGIT_LIMIT) - 3
+    argv = ("v,U", str(first), str(first + 6), "--format", fmt)
+    windowed, per_n, read = table_both_ways(capsys, monkeypatch, *argv)
+    assert windowed == per_n and read
+    code, out, err = windowed
+    assert code == 3 and "the exact value has more than" in err
+    assert 1 <= len(out.splitlines()) - (fmt == "csv") < 7

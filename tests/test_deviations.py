@@ -2,13 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oddsum import deviations
 from oddsum.bitcore import DomainError, hat, tilde
+from oddsum.bitcore import reverse_digits
 from oddsum.deviations import (
     _H_BASE_BITS,
+    _dev_g_core,
+    _g_column,
     _h_product,
+    _triple_u,
+    _window,
+    _windows,
     dev_g,
     dev_g_closed,
     dev_g_digit,
@@ -393,3 +399,64 @@ def test_cores_reject_negative_arguments():
     for core, kernel in CORES:
         with pytest.raises(DomainError, match=kernel.__name__):
             core(-1)
+
+
+# Windows inside one block I_m: starts from 1 to 2**300, widths from 1 to
+# about 5,000, and windows pinned to either end of their block.
+@st.composite
+def block_windows(draw):
+    m = draw(st.integers(min_value=0, max_value=300))
+    first, last = 1 << m, (2 << m) - 1
+    width = draw(st.integers(min_value=1, max_value=5000))
+    where = draw(st.sampled_from(["start", "end", "inside"]))
+    if where == "start":
+        lo = first
+    elif where == "end":
+        lo = max(first, last - width + 1)
+    else:
+        lo = draw(st.integers(min_value=first, max_value=last))
+    return lo, min(lo + width - 1, last)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_windows())
+@example((1, 1))
+@example((2, 3))
+@example((2, 2))
+@example((3, 3))
+@example((4, 7))
+@example((5, 7))
+@example((1 << 12, (1 << 13) - 1))
+@example(((1 << 14) - 4096, (1 << 14) - 1))
+def test_window_kernel_is_the_scalar_kernels_at_each_n(window):
+    lo, hi = window
+    ns, m, reverse, h, halves = _window(lo, hi)
+    assert ns == range(lo, hi + 1) and m == lo.bit_length() - 1
+    assert reverse == [reverse_digits(n) for n in ns]
+    assert h == [h_eval(n) for n in ns]
+    assert halves == [h_eval(n >> 1) if n > 1 else 0 for n in ns]
+    assert list(map(_triple_u, ns, halves)) == [_triple_u(n) for n in ns]
+    # g against the doubling-rule walk, which reads neither reverse nor h
+    g_nums = _g_column(ns, m, reverse, halves)
+    assert [(num, 3 << m) for num in g_nums] == [_dev_g_core(n) for n in ns]
+
+
+def test_windows_split_at_powers_of_two_and_at_4096_rows():
+    assert list(_windows(0, 9)) == [(0, 0), (1, 1), (2, 3), (4, 7), (8, 9)]
+    assert list(_windows(5, 5)) == [(5, 5)]
+    assert list(_windows(6, 5)) == []
+    pieces = list(_windows(3000, 20000))
+    assert pieces == [
+        (3000, 4095), (4096, 8191), (8192, 12287), (12288, 16383), (16384, 20000)
+    ]  # fmt: skip
+    start = (1 << 300) + 7
+    pieces = list(_windows(start, start + 10000))
+    assert [hi - lo + 1 for lo, hi in pieces] == [4096, 4096, 1809]
+    assert pieces[0][0] == start and pieces[-1][1] == start + 10000
+    # wide n: at most 2**22 digits in one window, and at least one n
+    wide = 1 << 30000
+    assert list(_windows(wide, wide + 300)) == [
+        (wide, wide + 138), (wide + 139, wide + 277), (wide + 278, wide + 300)
+    ]  # fmt: skip
+    huge = 1 << (1 << 23)
+    assert list(_windows(huge, huge + 1)) == [(huge, huge), (huge + 1, huge + 1)]

@@ -284,6 +284,16 @@ def test_scan_g_below_examples(monkeypatch):
         scan_g_below(Fraction(1, 4), 1000)
 
 
+def test_scan_g_below_is_the_per_n_filter_around_powers_of_two():
+    values = [dev_g(n) for n in range(1, (1 << 14) + 2)]
+    thresholds = (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1, 10**6), 2)
+    for threshold in thresholds:
+        for k in (0, 1, 2, 3, 12, 13, 14):
+            for bound in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+                expected = [n for n, g in enumerate(values[:bound], 1) if g < threshold]
+                assert scan_g_below(Fraction(threshold), bound) == expected
+
+
 BELOW_THE_DOMAIN = {
     "lambda_m": lambda: lambda_m(-1),
     "argmax_g": lambda: argmax_g(-1),
