@@ -159,23 +159,23 @@ def _quotient(a: int, b: int, shift: int, bits: int) -> tuple[int, int]:
 def _decimal_str(value: Fraction, digits: int) -> str:
     """str(Decimal(p) / Decimal(q)) at prec=digits, ROUND_HALF_EVEN, byte for byte.
 
-    When p or q is wider than the digits asked for, _quotient yields a
-    quotient of digits+1 to digits+3 digits from operands cut to
-    4 * digits + 96 bits, and only that coefficient becomes a Decimal.
-    An inexact quotient gets a sticky digit 1, which rounds to any
-    precision up to its own length as the exact value would; an exact
+    When p or q is more than twice as wide as the cut width 4 * digits + 96
+    bits, _quotient yields a quotient of digits+1 to digits+3 digits from
+    operands cut to that width, and only that coefficient becomes a
+    Decimal.  An inexact quotient gets a sticky digit 1, which rounds to
+    any precision up to its own length as the exact value would; an exact
     one sheds trailing zeros toward exponent 0, the ideal exponent of a
-    division of integers.  Narrower operands cost no more to convert
-    than that quotient, so they are divided as Decimals.
+    division of integers.  Narrower operands are divided as Decimals,
+    which costs about as much as converting them; cut to half their width
+    or more, they would cost more in int division, quadratic in CPython.
     """
     with localcontext() as ctx:
         ctx.prec = digits  # ValueError below 1, as the division gave
         ctx.rounding = ROUND_HALF_EVEN
         ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN  # every value a kernel returns
         p, q = value.numerator, value.denominator
-        magnitude = abs(p)
-        # 10/3 bits a digit, a shade over log2(10)
-        if 3 * max(magnitude.bit_length(), q.bit_length()) <= 10 * digits:
+        magnitude, cut = abs(p), 4 * digits + 96
+        if 2 * cut >= max(magnitude.bit_length(), q.bit_length()):
             if q & (q - 1) == 0:  # p / 2**k is p * 5**k / 10**k: rounded, not divided
                 k = q.bit_length() - 1
                 return str(_to_decimal(p * 5**k).scaleb(-k))
@@ -183,7 +183,7 @@ def _decimal_str(value: Fraction, digits: int) -> str:
         # magnitude/q > 2**k >= 10**(digits - shift): the quotient reaches 10**digits
         k = magnitude.bit_length() - q.bit_length() - 1
         shift = digits - (k * _LOG10_2 // 10**17 - 1)
-        coefficient, rest = _quotient(magnitude, q, shift, 4 * digits + 96)
+        coefficient, rest = _quotient(magnitude, q, shift, cut)
         exponent = -shift
         if rest:
             coefficient, exponent = 10 * coefficient + 1, exponent - 1

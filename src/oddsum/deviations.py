@@ -26,8 +26,8 @@ check every closed form.  dev_u and dev_g, the doubling rules carrying
 rule digit by digit) and dev_g_digit (half the sum of v(n >> (p+1))
 over the zero digits p < m of n) are references for the tests and the
 benchmark that no checker reads.  Over a window of consecutive n in one
-block, _window doubles reverse and h from the window of n >> 1, and the
-cores' own formulas (_triple_u, _g_num) give 3u and g from them.
+block, _stepped builds reverse, h, dev_u's 3u and dev_g's state 8 digits
+at a time, each from the scalar core's own table entry for the chunk.
 
 h(n) = sum of floor(n / 2**(k+1)) over the zero digits k of n below the
 leading one; it sits in [0, n-1], vanishing exactly on the all-ones
@@ -61,7 +61,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from typing import Callable
 
+from . import bitcore
 from .bitcore import DomainError, dyadic_third, reverse_digits
 
 __all__ = [
@@ -228,16 +230,23 @@ def dev_u_closed(n: int) -> Fraction:
     return Fraction(_triple_u(n), 3)
 
 
-def _dev_g_core(n: int) -> tuple[int, int]:
-    """g(n) as (num, 3 * 2**m), m = floor_lg(n); (0, 3) at n = 0."""
-    if n < 0:
-        raise DomainError("dev_g requires n >= 0")
-    g_num = v_num = level = 0  # g and v of the prefix, scaled by 3 * 2**level
+def _dev_g_state(n: int) -> tuple[int, int, int]:
+    """(g, v, level): g(n) and v(n) scaled by 3 * 2**level, n padded to level
+    digits, by the doubling rules, 8 digits per step."""
+    g_num = v_num = level = 0
     for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
         z, y, r = _G_STEP[c]
         g_num = (g_num << 8) + z * v_num + (y << level)
         v_num += r << (level + 1)
         level += 8
+    return g_num, v_num, level
+
+
+def _dev_g_core(n: int) -> tuple[int, int]:
+    """g(n) as (num, 3 * 2**m), m = floor_lg(n); (0, 3) at n = 0."""
+    if n < 0:
+        raise DomainError("dev_g requires n >= 0")
+    g_num, _, level = _dev_g_state(n)
     drop = level + 1 - n.bit_length() if n else 0  # the byte padding's zeros
     if g_num & ((1 << drop) - 1):  # off the 3 * 2**m grid: a corrupted table
         drop = 0
@@ -274,22 +283,75 @@ def _windows(start: int, stop: int):
         start = hi + 1
 
 
+def _stepped(ns: range, core: Callable, steps: Callable) -> list:
+    """core(n) for n in ns, a window inside one block I_m, 8 digits at a time.
+
+    steps(xs, values, m) takes the values over the window xs of x = n >> 8,
+    built the same way, to those of each n = 256x + c, by the table entry
+    that core reads for the chunk c.  A window of at most 2 values, or of
+    n < 256, is core's own.
+    """
+    lo, hi = ns[0], ns[-1]
+    if hi - lo < 2 or hi < 256:
+        return list(map(core, ns))
+    xs = range(lo >> 8, (hi >> 8) + 1)
+    column = steps(xs, _stepped(xs, core, steps), hi.bit_length() - 1)
+    return column[lo & 0xFF : (lo & 0xFF) + len(ns)]
+
+
+def _reverse_steps(xs, reverse, m):  # reverse_digits reads c's byte reversed
+    tops = [r << (m - 7) for r in bitcore._REVERSED_BYTES]
+    return [top + r for r in reverse for top in tops]
+
+
+def _h_steps(xs, h, m):  # h_eval's first step: h(x) + x*Z + H
+    return [h_x + x * z + low for x, h_x in zip(xs, h) for z, low in _H_STEP]
+
+
+def _u_steps(xs, triple, m):  # _dev_u_core's last step: 3u(x) + a*x + b
+    return [t + a * x + b for x, t in zip(xs, triple) for a, b in _U_STEP]
+
+
+def _g_steps(xs, states, m):  # _dev_g_state's loop body, on the state of x
+    return [
+        ((g << 8) + z * v + (y << level), v + (r << (level + 1)), level + 8)
+        for g, v, level in states
+        for z, y, r in _G_STEP
+    ]
+
+
+def _reverses(ns: range) -> list[int]:  # 0 at n = 0, as in _dev_v_core
+    return _stepped(ns, lambda n: _dev_v_core(n)[0], _reverse_steps)
+
+
+def _h_window(ns: range) -> list[int]:
+    return _stepped(ns, h_eval, _h_steps)
+
+
+def _halves(ns: range) -> list[int]:  # h(n >> 1), 0 for n <= 1 as in _triple_u
+    if ns[0] < 2:
+        return [0] * len(ns)
+    h = _h_window(range(ns[0] >> 1, (ns[-1] >> 1) + 1))
+    return [value for value in h for _ in (0, 1)][ns[0] & 1 :][: len(ns)]
+
+
+def _dev_u_window(ns: range) -> list[int]:  # 3u(n), as _dev_u_core walks it
+    return _stepped(ns, lambda n: _dev_u_core(n)[0], _u_steps)
+
+
+def _dev_g_window(ns: range) -> list[tuple[int, int]]:
+    """_dev_g_core's pairs over a window: its states, then its drop."""
+    states, bits = _stepped(ns, _dev_g_state, _g_steps), ns[-1].bit_length()
+    level = states[0][2]
+    drop = level + 1 - bits if bits else 0
+    mask, den, wide = (1 << drop) - 1, 3 << (level - drop), 3 << level
+    return [(g >> drop, den) if not g & mask else (g, wide) for g, _, _ in states]
+
+
 def _window(lo: int, hi: int) -> tuple[range, int, list[int], list[int], list[int]]:
-    """(ns, m, reverse(n), h(n), h(n >> 1)) for ns = lo..hi inside one block I_m,
-    from the window of n >> 1 (at most 2 values: reverse_digits and h_eval, h(0)
-    = 0) by reverse(2x + e) = reverse(x) + (e << m) and h(2x + e) = h(x) + (1-e) x."""
-    ns, m = range(lo, hi + 1), hi.bit_length() - 1
-    if hi - lo < 2:
-        halves = [h_eval(n >> 1) if n > 1 else 0 for n in ns]
-        return ns, m, [reverse_digits(n) for n in ns], [h_eval(n) for n in ns], halves
-    xs, _, reverse_half, h_half, _ = _window(lo >> 1, hi >> 1)
-    top, size = 1 << m, 2 * len(xs)
-    reverse, h, halves = [0] * size, [0] * size, [0] * size
-    reverse[0::2], reverse[1::2] = reverse_half, [r + top for r in reverse_half]
-    h[0::2] = map(int.__add__, h_half, xs)
-    h[1::2] = halves[0::2] = halves[1::2] = h_half
-    cut = slice(lo & 1, size - 1 + (hi & 1))
-    return ns, m, reverse[cut], h[cut], halves[cut]
+    """(ns, m, reverse(n), h(n), h(n >> 1)) for ns = lo..hi inside one block I_m."""
+    ns = range(lo, hi + 1)
+    return ns, hi.bit_length() - 1, _reverses(ns), _h_window(ns), _halves(ns)
 
 
 def _g_column(ns: range, m: int, reverse: list[int], halves: list[int]):

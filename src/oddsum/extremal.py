@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
-from .deviations import _dev_g_core, _dev_v_core, _g_column, _window, _windows, dev_g
+from .deviations import _dev_g_core, _dev_v_core, _g_column, _halves, _reverses
+from .deviations import _windows, dev_g
 from .sums import _check_brute_cap, u_fast, v_fast
 
 __all__ = [
@@ -283,8 +284,8 @@ def scan_g_below(threshold: Fraction, bound: int) -> list[int]:
     p, q = Fraction(threshold).as_integer_ratio()
     found: list[int] = []
     for lo, hi in _windows(1, bound):  # one window of g at a time
-        ns, m, reverse, _, halves = _window(lo, hi)
+        ns, m = range(lo, hi + 1), hi.bit_length() - 1
         below = p * (3 << m)  # g(n) = num/(3 * 2**m) < p/q, cross-multiplied
-        g_nums = _g_column(ns, m, reverse, halves)
+        g_nums = _g_column(ns, m, _reverses(ns), _halves(ns))
         found += (n for n, num in zip(ns, g_nums) if num * q < below)
     return found

@@ -7,14 +7,15 @@ both directions (every claimed witness attains, no non-witness does),
 identities by structural rational equality.
 
 A checker is a declaration: a predicate, (ev, item) -> Counterexample or
-None, over a domain, (config, theorem) -> items in ascending order (an n
-range, an n range then the random trials, the (r, p) grid, an m range,
-T3's blocks then its closed-form m, or the rows of sums.scan_sums).  A
-checker that builds something once per run (P2C's memo of prefix sums,
-COR10's member set, the skeleton pairs of L2 and COR6, T3's two phases)
-registers a setup, (config, ev) -> (items, predicate), instead.  check()
-alone walks the items: it counts them, stops at the first
-counterexample, which is then the smallest, and times the run.
+None, over a domain, (config, theorem, ev) -> items in ascending order
+(an n range, with the values each n reads, then perhaps the random
+trials, the (r, p) grid, an m range, T3's blocks then its closed-form m,
+or the rows of sums.scan_sums).  A checker that builds something once
+per run (P2C's memo of prefix sums, COR10's member set, the skeleton
+pairs of L2 and COR6, T3's two phases) registers a setup, (config, ev)
+-> (items, predicate), instead.  check() alone walks the items: it
+counts them, stops at the first counterexample, which is then the
+smallest, and times the run.
 
 Identity-type claims (P2C, P2D, P6B, EQL21, EQ4_IDENTITY) additionally
 run seeded random trials at big arguments (256-bit by default), which
@@ -34,7 +35,12 @@ Verdicts are integer arithmetic.  _read gives every value as one exact
 pair (num, den): while an Evaluators field is a shipped Fraction kernel,
 its integer core, found by identity in _CORES, with den = 3 * 2**m (3
 for dev_u); a replaced field is called as given and read by
-as_integer_ratio.  A checker cross-multiplies these integers or brings
+as_integer_ratio.  The n-range scans read the same pairs a window of
+one block at a time, from deviations' window kernels (_COLUMNS), and
+hat(n), tilde(n) and 4n + r from mirrored or scaled windows; a replaced
+field is still called once per n, lazily.  The trials, the grids and
+ORACLE_UVG, the per-n oracle of the kernels that eval runs, read per n.
+A checker cross-multiplies these integers or brings
 them over one common denominator, widened for a value outside it.  A
 failure reports Fraction(num, den), the exact value the verdict used;
 Fractions are built only to write a report.
@@ -54,9 +60,12 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable
 
 from . import bitcore, deviations, extremal, sums
+from .deviations import _dev_g_window, _dev_u_window, _g_column, _halves, _h_window
+from .deviations import _reverses, _triple_u
 
 __all__ = [
     "CLAIMS",
@@ -227,6 +236,39 @@ def _read(field: Callable, n: int) -> tuple[int, int]:
     return field(n).as_integer_ratio() if core is None else core(n)
 
 
+# Each shipped field's pairs over a window ns of I_m (m = 0 for n = 0 alone),
+# as _read gives them, from the window kernels; found by identity like _CORES
+_COLUMNS = {
+    sums.v_fast: lambda ns, m: zip(
+        map(sums._v_num, ns, repeat(m), _reverses(ns)), repeat(3 << m)
+    ),
+    sums.u_fast: lambda ns, m: zip(
+        map(sums._u_of, ns, map(_triple_u, ns, _halves(ns))), repeat(1)
+    ),
+    sums.g_fast: lambda ns, m: zip(
+        map(sums._g_num, ns, repeat(m), _g_column(ns, m, _reverses(ns), _halves(ns))),
+        repeat(3 << m),
+    ),
+    deviations.dev_v: lambda ns, m: zip(_reverses(ns), repeat(3 << m)),
+    deviations.dev_u: lambda ns, m: zip(_dev_u_window(ns), repeat(3)),
+    deviations.dev_g: lambda ns, m: _dev_g_window(ns),
+    deviations.h_eval: lambda ns, m: zip(_h_window(ns), repeat(1)),
+}
+
+
+def _column(field: Callable, ns: range, windowed: bool):
+    """field(n) for n in ns, step 1 or -1, as _read's pairs, lazily: windowed,
+    a shipped field's columns over deviations._windows, else _read per n."""
+    window = _COLUMNS.get(field) if windowed else None
+    if window is None:
+        return map(_read, repeat(field), ns)
+    pieces = deviations._windows(min(ns[0], ns[-1]), max(ns[0], ns[-1]))
+    pairs = chain.from_iterable(
+        window(range(lo, hi + 1), max(hi.bit_length() - 1, 0)) for lo, hi in pieces
+    )
+    return pairs if ns.step > 0 else reversed(list(pairs))
+
+
 def _over(denominator: int, reads) -> tuple[list[int], int]:
     """The (num, den) reads as numerators over denominator, which every
     shipped kernel's den divides, or else over the lcm of it and each den."""
@@ -250,27 +292,39 @@ def _is_all_ones(n: int) -> bool:
 # ----------------------------------------------------------------- domains
 
 
-def _n_range(config: RangeConfig, theorem: str):
-    """n in 1..max_n."""
-    return range(1, config.max_n + 1)
+def _n_scan(first: int, *reads, trials: bool = False, wide_bits: int = 0):
+    """The domain (n, *values) of n in first..max_n, read a window at a time,
+    then with trials the random trials, read per n.  A read names an
+    Evaluators field, read at n, or is (name, at): the field at at(n) for a
+    function at (hat, tilde), or for an int at the tuple of its values at
+    at * n + r, r < at."""
 
+    def items(ev: Evaluators, lo: int, hi: int, windowed: bool = True):
+        columns = []
+        for field, at in ((r, 1) if isinstance(r, str) else r for r in reads):
+            if callable(at):
+                k, ns = 1, range(at(lo), at(hi) - 1, -1)
+            else:
+                k, ns = at, range(at * lo, at * hi + at)
+            column = _column(getattr(ev, field), ns, windowed)
+            columns.append(zip(*[column] * k) if k > 1 else column)
+        return zip(range(lo, hi + 1), *columns)
 
-def _n_range_and_trials(first: int, wide_bits: int = 0):
-    """The domain of n in first..max_n, then the random trials."""
-
-    def domain(config: RangeConfig, theorem: str):
-        scan = range(first, config.max_n + 1)
-        return itertools.chain(scan, _random_args(config, theorem, wide_bits))
+    def domain(config: RangeConfig, theorem: str, ev: Evaluators):
+        windows = deviations._windows(first, config.max_n)
+        args = _random_args(config, theorem, wide_bits) if trials else ()
+        scan = (items(ev, lo, hi) for lo, hi in windows)
+        return chain.from_iterable(chain(scan, (items(ev, n, n, False) for n in args)))
 
     return domain
 
 
-def _m_range(config: RangeConfig, theorem: str):
+def _m_range(config: RangeConfig, theorem: str, ev: Evaluators):
     """m in 0..max_m."""
     return range(0, config.max_m + 1)
 
 
-def _scan_rows(config: RangeConfig, theorem: str):
+def _scan_rows(config: RangeConfig, theorem: str, ev: Evaluators):
     """(n, V(n), U(n), G(n)) for n in 1..max_n, by running the defining sums."""
     return sums.scan_sums(config.max_n)
 
@@ -297,7 +351,7 @@ def _claim(theorem: str, domain=None):
         if domain is None:
             _SETUPS[theorem] = fn
         else:
-            _SETUPS[theorem] = lambda config, ev: (domain(config, theorem), fn)
+            _SETUPS[theorem] = lambda config, ev: (domain(config, theorem, ev), fn)
         CLAIMS[theorem] = fn.__doc__.strip().splitlines()[0]
         return fn
 
@@ -307,10 +361,10 @@ def _claim(theorem: str, domain=None):
 # ---------------------------------------------------------------- checkers
 
 
-@_claim("P1B", _n_range)
-def _check_p1b(ev, n):
+@_claim("P1B", _n_scan(1, "sum_v"))
+def _check_p1b(ev, item):
     """2n/3 < V(n) < (2n+2)/3, strictly, for every n."""
-    p, q = _read(ev.sum_v, n)
+    n, (p, q) = item
     if not 2 * n * q < 3 * p < (2 * n + 2) * q:
         return _ce(
             f"strictly between {_fmt(Fraction(2 * n, 3))} and"
@@ -320,22 +374,22 @@ def _check_p1b(ev, n):
         )
 
 
-@_claim("COR3", _n_range)
-def _check_cor3(ev, n):
+@_claim("COR3", _n_scan(1, ("dev_v", 2)))
+def _check_cor3(ev, item):
     """v sits in (0, 1/3) at even arguments and (1/3, 2/3) at odd ones."""
-    p, q = _read(ev.dev_v, 2 * n)
+    n, ((p, q), odd) = item
     if not (0 < p and 3 * p < q):
         return _ce("in (0, 1/3)", Fraction(p, q), n=2 * n)
-    p, q = _read(ev.dev_v, 2 * n + 1)
+    p, q = odd
     if not q < 3 * p < 2 * q:
         return _ce("in (1/3, 2/3)", Fraction(p, q), n=2 * n + 1)
 
 
-@_claim("COR4", _n_range)
-def _check_cor4(ev, n):
+@_claim("COR4", _n_scan(1, "dev_v"))
+def _check_cor4(ev, item):
     """Block bounds of v on I_m, sharp exactly at 2^m and 2^(m+1)-1."""
+    n, (p, q) = item
     m = n.bit_length() - 1
-    p, q = _read(ev.dev_v, n)
     # value and both bounds over 3n * 2**m, times q
     scaled = (3 * n << m) * p
     low_q, high_q = n * q, (((2 * n - 2) << m) + 1) * q
@@ -352,10 +406,10 @@ def _check_cor4(ev, n):
     return _ce(f"{_fmt(high)} exactly iff n = 2^(m+1)-1", value, n=n)
 
 
-@_claim("T5", _n_range)
-def _check_t5(ev, n):
+@_claim("T5", _n_scan(1, "sum_v"))
+def _check_t5(ev, item):
     """Sharp bracketing of V; equality iff n resp. n+1 is a power of two."""
-    p, q = _read(ev.sum_v, n)
+    n, (p, q) = item
     low_gap = 3 * n * p - (2 * n * n + 1) * q
     high_gap = 2 * n * (n + 2) * q - 3 * (n + 1) * p
     if low_gap > 0 and high_gap > 0 and not (_is_pow2(n) or _is_pow2(n + 1)):
@@ -371,10 +425,11 @@ def _check_t5(ev, n):
         return _ce("upper equality iff n = 2^m - 1", value, n=n)
 
 
-@_claim("L1", _n_range)
-def _check_l1(ev, n):
+@_claim("L1", _n_scan(1, "h"))
+def _check_l1(ev, item):
     """0 <= h(n) <= n-1, hitting 0 only all-ones and n-1 only powers of two."""
-    value = ev.h(n)
+    n, (p, q) = item
+    value = p if q == 1 else Fraction(p, q)
     if not 0 <= value <= n - 1:
         return _ce(f"in [0, {n - 1}]", value, n=n)
     if (value == 0) != _is_all_ones(n):
@@ -383,8 +438,8 @@ def _check_l1(ev, n):
         return _ce(f"{n - 1} exactly iff n = 2^m", value, n=n)
 
 
-@_claim("T2", _n_range)
-def _check_t2(ev, n):
+@_claim("T2", _n_scan(1, "sum_u"))
+def _check_t2(ev, item):
     """Parity-split bounds of U with all four equality families.
 
     Even n: n^2+2 <= 3U <= n^2+n, sharp at 2^m and 2^m-2.  Odd n: the
@@ -392,7 +447,8 @@ def _check_t2(ev, n):
     3U >= n^2+n+3 for odd n >= 3 with equality exactly at 2^m+1, and
     3U <= n^2+2n is sharp exactly at 2^m-1.
     """
-    triple = 3 * ev.sum_u(n)
+    n, (p, q) = item
+    triple = 3 * p if q == 1 else Fraction(3 * p, q)
     if n % 2 == 0:
         low, high = n * n + 2, n * n + n
         if not low <= triple <= high:
@@ -415,29 +471,29 @@ def _check_t2(ev, n):
         return _ce(f"3*U(n) = {high} iff n = 2^m - 1", triple, n=n)
 
 
-@_claim("P4B", _n_range)
-def _check_p4b(ev, n):
+@_claim("P4B", _n_scan(1, "sum_g"))
+def _check_p4b(ev, item):
     """n(n + 7/4)/3 <= G(n) <= n(n+2)/3 for every n."""
-    p, q = _read(ev.sum_g, n)
+    n, (p, q) = item
     if 12 * p < (4 * n * n + 7 * n) * q:
         return _ce(f">= {_fmt(Fraction(n * (4 * n + 7), 12))}", Fraction(p, q), n=n)
     if 3 * p > n * (n + 2) * q:
         return _ce(f"<= {_fmt(Fraction(n * (n + 2), 3))}", Fraction(p, q), n=n)
 
 
-@_claim("P5C", _n_range)
-def _check_p5c(ev, n):
+@_claim("P5C", _n_scan(1, "dev_g"))
+def _check_p5c(ev, item):
     """0 <= g(n) <= floor_lg(n)/3."""
-    p, q = _read(ev.dev_g, n)
+    n, (p, q) = item
     m = n.bit_length() - 1
     if not (0 <= p and 3 * p <= m * q):
         return _ce(f"in [0, {_fmt(Fraction(m, 3))}]", Fraction(p, q), n=n)
 
 
-@_claim("COR5", _n_range)
-def _check_cor5(ev, n):
+@_claim("COR5", _n_scan(1, "dev_g"))
+def _check_cor5(ev, item):
     """g vanishes exactly on the all-ones integers 2^r - 1."""
-    p, q = _read(ev.dev_g, n)
+    n, (p, q) = item
     if (p == 0) != _is_all_ones(n):
         return _ce("0 exactly iff n = 2^r - 1", Fraction(p, q), n=n)
 
@@ -455,11 +511,12 @@ def _check_p2c(config, ev):
     """
     memo = [0]
 
-    def telescoped(ev, n):
+    def telescoped(ev, item):
+        n, value = item  # value: v(n) read from a window, None in a trial
         k = max(n.bit_length() - len(memo).bit_length(), 0) + 1
         total, den = memo[n >> k], 3 << (n >> k).bit_length()
         for j in range(k - 1, -1, -1):
-            num, q = _read(ev.dev_v, n >> j)
+            num, q = _read(ev.dev_v, n >> j) if j or value is None else value
             wide = math.lcm(den << 1, q) if (den << 1) % q else den << 1
             num *= wide // q
             total, den = total * (wide // den) + num, wide
@@ -468,35 +525,36 @@ def _check_p2c(config, ev):
         if n == len(memo):
             memo.append(total)
 
-    return _n_range_and_trials(1)(config, "P2C"), telescoped
+    trials = ((n, None) for n in _random_args(config, "P2C"))
+    return chain(_n_scan(1, "dev_v")(config, "P2C", ev), trials), telescoped
 
 
-@_claim("P2D", _n_range_and_trials(1))
-def _check_p2d(ev, n):
+@_claim("P2D", _n_scan(1, "dev_v", ("dev_v", bitcore.hat), trials=True))
+def _check_p2d(ev, item):
     """Complement symmetry: v(n) + v(hat(n)) = 2/3."""
-    (a, b), (c, d) = _read(ev.dev_v, n), _read(ev.dev_v, bitcore.hat(n))
+    n, (a, b), (c, d) = item
     if 3 * (a * d + c * b) != 2 * b * d:
         return _ce(Fraction(2, 3), Fraction(a, b) + Fraction(c, d), n=n)
 
 
-@_claim("P6B", _n_range_and_trials(1))
-def _check_p6b(ev, n):
+@_claim("P6B", _n_scan(1, "dev_g", ("dev_g", bitcore.tilde), trials=True))
+def _check_p6b(ev, item):
     """Reflection symmetry: g(n) = g(tilde(n))."""
-    (a, b), (c, d) = _read(ev.dev_g, n), _read(ev.dev_g, bitcore.tilde(n))
+    n, (a, b), (c, d) = item
     if a * d != c * b:
         return _ce(Fraction(c, d), Fraction(a, b), n=n)
 
 
-@_claim("EQL21", _n_range_and_trials(0))
-def _check_eql21(ev, n):
+@_claim("EQL21", _n_scan(0, "dev_g", "dev_v", ("dev_g", 4), trials=True))
+def _check_eql21(ev, item):
     """Two-step rules: g(4n), g(4n+1), g(4n+2), g(4n+3) from g(n), v(n).
 
     g(n) and v(n) live over 3 * 2**m, m = floor_lg(n), and g(4n + r) over
     3 * 2**(m+2), so all six values are brought over the latter and the
     four rules compared as integers.
     """
-    values = [_read(ev.dev_g, n), _read(ev.dev_v, n)]
-    values += [_read(ev.dev_g, 4 * n + r) for r in range(4)]
+    n, g, v, quadruple = item
+    values = [g, v, *quadruple]
     m = max(n.bit_length() - 1, 0)  # n = 0 fits the n = 1 denominators
     (g, v, *actuals), den = _over(12 << m, values)
     # four times each rule, over den: 4 * 1/6 is 2 * den / 3
@@ -599,10 +657,10 @@ def _check_cor7(ev, m):
         return _ce(closed, brute, m=m)
 
 
-@_claim("COR8", _n_range)
-def _check_cor8(ev, n):
+@_claim("COR8", _n_scan(1, "dev_g"))
+def _check_cor8(ev, item):
     """Chain 0 <= g(n) <= theta_n <= floor_lg(n)/9 + 1/18."""
-    p, q = _read(ev.dev_g, n)
+    n, (p, q) = item
     m = n.bit_length() - 1
     t, s = extremal._theta_parts(m)
     if not (0 <= p and p * s <= t * q and 18 * t <= (2 * m + 1) * s):
@@ -649,18 +707,23 @@ def _check_cor10(config, ev):
     """g(n) = theta_n exactly on the two rounded families."""
     members = frozenset(extremal.equality_set("G_THETA", config.max_n))
 
-    def on_families(ev, n):
-        p, q = _read(ev.dev_g, n)
+    def on_families(ev, item):
+        n, (p, q) = item
         t, s = extremal._theta_parts(n.bit_length() - 1)
         if (p * s == t * q) != (n in members):
             expected = "g = theta_n exactly on the rounded families"
             return _ce(expected, Fraction(p, q), n=n)
 
-    return _n_range(config, "COR10"), on_families
+    return _n_scan(1, "dev_g")(config, "COR10", ev), on_families
 
 
-@_claim("EQ4_IDENTITY", _n_range_and_trials(1, _H_SPLIT_BITS))
-def _check_eq4(ev, n):
+_EQ4_READS = ("sum_g", "sum_u", "sum_v", "dev_g", "dev_u")
+
+
+@_claim(
+    "EQ4_IDENTITY", _n_scan(1, *_EQ4_READS, trials=True, wide_bits=_H_SPLIT_BITS)
+)
+def _check_eq4(ev, item):
     """G(n) = (n+1) V(n) - U(n).
 
     The fast sums share one kernel, so the identity alone holds by
@@ -668,7 +731,7 @@ def _check_eq4(ev, n):
     deviations, which come from independent evaluators.  All five values
     are compared as integers over 3 * 2**m, m = floor_lg(n).
     """
-    values = [_read(f, n) for f in (ev.sum_g, ev.sum_u, ev.sum_v, ev.dev_g, ev.dev_u)]
+    n, *values = item
     (g, u, v, dev_g, dev_u), den = _over(3 << (n.bit_length() - 1), values)
     for expected, actual, function in (
         ((n + 1) * v - u, g, None),

@@ -542,7 +542,27 @@ def test_decimal_str_settles_quotients_both_ways(monkeypatch):
     monkeypatch.setattr(cli, "_quotient", spy)
     for value, digits in DECIMAL_EXAMPLES:
         assert cli._decimal_str(value, digits) == str(significant(value, digits))
+    # the last example, 138 bits at 1 digit, is divided as Decimals (its cut
+    # width, 100 bits, passes half its width), so its quotient is asked directly
+    assert spy(25 * 10**40, 1, -38, 100) == (2500, 0)
     assert ways.count("cut") == 3 and ways.count("full width") == 6
+
+
+def test_decimal_str_divides_as_decimals_from_half_the_operands_width(monkeypatch):
+    # 4001 bits over 3170: the cut width 4N + 96 passes 4001 / 2 from N = 477
+    cuts = []
+    quotient = cli._quotient
+
+    def spy(a, b, shift, bits):
+        cuts.append(bits)
+        return quotient(a, b, shift, bits)
+
+    monkeypatch.setattr(cli, "_quotient", spy)
+    value = Fraction((1 << 4000) + 12345, 3**2000)
+    for digits, asked in ((30, [216]), (476, [2000]), (477, []), (2000, [])):
+        cuts.clear()
+        assert cli._decimal_str(value, digits) == str(significant(value, digits))
+        assert cuts == asked
 
 
 @pytest.mark.parametrize("bits", [1, 100, 1 << 14, (1 << 14) + 1, (1 << 15) + 3, 10**5])

@@ -10,6 +10,9 @@ from oddsum.bitcore import reverse_digits
 from oddsum.deviations import (
     _H_BASE_BITS,
     _dev_g_core,
+    _dev_g_window,
+    _dev_u_core,
+    _dev_u_window,
     _g_column,
     _h_product,
     _triple_u,
@@ -401,11 +404,11 @@ def test_cores_reject_negative_arguments():
             core(-1)
 
 
-# Windows inside one block I_m: starts from 1 to 2**300, widths from 1 to
+# Windows inside one block I_m: starts from 1 to 2**max_m, widths from 1 to
 # about 5,000, and windows pinned to either end of their block.
 @st.composite
-def block_windows(draw):
-    m = draw(st.integers(min_value=0, max_value=300))
+def block_windows(draw, max_m=300):
+    m = draw(st.integers(min_value=0, max_value=max_m))
     first, last = 1 << m, (2 << m) - 1
     width = draw(st.integers(min_value=1, max_value=5000))
     where = draw(st.sampled_from(["start", "end", "inside"]))
@@ -439,6 +442,50 @@ def test_window_kernel_is_the_scalar_kernels_at_each_n(window):
     # g against the doubling-rule walk, which reads neither reverse nor h
     g_nums = _g_column(ns, m, reverse, halves)
     assert [(num, 3 << m) for num in g_nums] == [_dev_g_core(n) for n in ns]
+    assert window_rows(lo, hi) == [core_row(n) for n in ns]
+
+
+def window_rows(lo, hi):
+    """(reverse, h, h(n >> 1), dev_u's 3u, dev_g's pair) at each n of lo..hi,
+    from the window kernels."""
+    ns, _, reverse, h, halves = _window(lo, hi)
+    return list(zip(reverse, h, halves, _dev_u_window(ns), _dev_g_window(ns)))
+
+
+def core_row(n):
+    """The same five values at n from the scalar cores."""
+    half = h_eval(n >> 1) if n > 1 else 0
+    return reverse_digits(n), h_eval(n), half, _dev_u_core(n)[0], _dev_g_core(n)
+
+
+def test_window_columns_are_the_scalar_cores_below_2_13():
+    top = 1 << 13
+    cores = [None] + [core_row(n) for n in range(1, top)]
+    # every n, in windows of widths 1, 2, 3, ... in turn inside each block
+    windows, lo, width = [], 1, 1
+    while lo < top:
+        hi = min(lo + width - 1, (1 << lo.bit_length()) - 1)
+        windows.append((lo, hi))
+        lo, width = hi + 1, width % 300 + 1
+    # each start and each end at every offset in an 8-digit chunk, and the
+    # windows pinned to either end of the top block
+    for a in range(256):
+        windows += [(4096 + a, 4696 + a), (4096, 4096 + a), (7891 - a, 8191)]
+    for lo, hi in windows:
+        assert window_rows(lo, hi) == cores[lo : hi + 1], (lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_windows(max_m=20))
+def test_window_columns_are_the_scalar_cores_up_to_2_20(window):
+    lo, hi = window
+    assert window_rows(lo, hi) == [core_row(n) for n in range(lo, hi + 1)]
+
+
+def test_window_columns_at_zero_are_the_cores():
+    assert deviations._reverses(range(1)) == [deviations._dev_v_core(0)[0]] == [0]
+    assert _dev_u_window(range(1)) == [_dev_u_core(0)[0]] == [0]
+    assert _dev_g_window(range(1)) == [_dev_g_core(0)] == [(0, 3)]
 
 
 def test_windows_split_at_powers_of_two_and_at_4096_rows():

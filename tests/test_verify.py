@@ -584,6 +584,26 @@ def test_corrupted_digit_table_fails_verify(
     assert check(theorem, SMOKE).line() == line
 
 
+@pytest.mark.parametrize("table, chunk, field, theorem, line", TABLE_FAULTS)
+def test_window_columns_follow_a_corrupted_table_entry_for_entry(
+    monkeypatch, table, chunk, field, theorem, line
+):
+    # each window value is its scalar core's own arithmetic, so a corrupted
+    # entry reaches both alike; h is the walk up to _H_BASE_BITS digits
+    entries = list(getattr(deviations, table))
+    entries[chunk] = tuple(v + (i == field) for i, v in enumerate(entries[chunk]))
+    monkeypatch.setattr(deviations, table, entries)
+    wide = (1 << 80) + 1000
+    for lo, hi in [*deviations._windows(1, 9000), (wide, wide + 600)]:
+        ns, _, reverse, h, halves = deviations._window(lo, hi)
+        assert reverse == [reverse_digits(n) for n in ns]
+        assert h == list(map(deviations.h_eval, ns))
+        assert halves == [deviations.h_eval(n >> 1) if n > 1 else 0 for n in ns]
+        triples = [deviations._dev_u_core(n)[0] for n in ns]
+        assert deviations._dev_u_window(ns) == triples
+        assert deviations._dev_g_window(ns) == list(map(deviations._dev_g_core, ns))
+
+
 def test_eval_g_runs_the_kernel_that_verify_reads_through_g(monkeypatch, capsys):
     # g's closed-form core, off by 1/12 at n = 5 where sums.g_fast looks it up:
     # ORACLE_UVG reads it through G, and `oddsum eval g` prints it
@@ -611,9 +631,12 @@ def pass_through(ev):
 
 
 WIDE = dataclasses.replace(SMOKE, random_big_trials=4, random_bits=260)
+# max_n splits blocks into several windows, and the partner reads (hat, tilde)
+# and EQL21's 4n + r cross their edges
+SPLIT = dataclasses.replace(SMOKE, max_n=9000, random_big_trials=4)
 
 
-@pytest.mark.parametrize("config", [SMOKE, WIDE])
+@pytest.mark.parametrize("config", [SMOKE, WIDE, SPLIT])
 def test_cores_and_fallback_give_the_same_reports(config):
     default = Evaluators()
     wrapped = pass_through(default)
@@ -649,14 +672,18 @@ def test_cores_and_fallback_agree_on_corrupted_tables(
 
 def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
     # functools.wraps copies the kernel's attributes, not its identity
+    calls = []
+
     @functools.wraps(dev_g)
     def corrupted(n):
+        calls.append(n)
         return dev_g(n) + (n == 5)
 
     ev = dataclasses.replace(Evaluators(), dev_g=corrupted)
     assert check("P5C", SMOKE, ev).line() == (
         "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"
     )
+    assert calls == [1, 2, 3, 4, 5]  # once per n, lazily, up to the failure
     assert verify._read(corrupted, 5) == (7, 6)
     # the shipped kernels are read through their integer cores, whose pairs
     # are unreduced, and a wrapper by the ratio of what it returns
