@@ -11,8 +11,9 @@ Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
 One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
-stream out as they are computed; table reads each shipped kernel over
-windows of up to 4096 n and renders a cell only as its row goes out.
+stream out as they are computed; table and scan read each shipped
+kernel from sums._COLUMNS over windows of up to 4096 n, and table
+renders a cell only as its row goes out.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
 is large; N beyond DECIMAL_DIGITS_CAP exits 3 before any work.  main()
@@ -42,7 +43,7 @@ from decimal import Inexact, localcontext
 from fractions import Fraction
 from itertools import repeat
 
-from . import sums, verify
+from . import deviations, sums, verify
 from .bitcore import (
     ResourceLimitError,
     digit_limit_error,
@@ -54,9 +55,8 @@ from .bitcore import (
     str_digit_limit,
     tilde,
 )
-from .deviations import _g_column, _triple_u as _u3, _window, _windows
-from .deviations import dev_g_closed, dev_u_closed, dev_v, h_eval
-from .extremal import LAMBDA_M_CAP, argmax_g, lambda_m, scan_g_below, theta
+from .deviations import _windows, dev_g_closed, dev_u_closed, dev_v, h_eval
+from .extremal import LAMBDA_M_CAP, _g_below_windows, argmax_g, lambda_m, theta
 from .sums import alpha, g_fast, u_fast, v_fast
 
 __all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
@@ -83,7 +83,7 @@ EVAL_FUNCTIONS = {
     "lambda_m": lambda_m,
 }
 
-# a json array goes out this many items at a time, in bounded memory
+# a json array, or scan's plain line, goes out this many items at a time
 _JSON_CHUNK = 4096
 
 # 12 significant digits of (2/3) ln 2, the one irrational limit on offer
@@ -207,21 +207,22 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
         raise digit_limit_error("the exact value", _EXACT_REMEDY) from None
 
 
-def _exact(p: int, q: int = 1) -> str:
-    """p/q, q >= 1, in lowest terms as format_rational prints it."""
+def _exact(p: int, q: int) -> str:
+    """p/q, q 1 or 3 * 2**e, in lowest terms as format_rational prints it."""
+    if q > 1:
+        p, q = dyadic_pair(p, q.bit_length() - 2)
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # str() of an int beyond the digit limit
         raise digit_limit_error("the exact value", _EXACT_REMEDY) from None
 
 
-def _cells(values, e: int | None, decimal_digits: int | None):
-    """The rendered cells of values over 3 * 2**e (integers if e is None)."""
-    if decimal_digits is not None:
-        values = values if e is None else (dyadic_third(v, e) for v in values)
-        return map(_render, values, repeat(decimal_digits))
-    pairs = zip(values) if e is None else map(dyadic_pair, values, repeat(e))
-    return itertools.starmap(_exact, pairs)
+def _cells(pairs, decimal_digits: int | None):
+    """The rendered cells of (num, den) pairs, den 1 or 3 * 2**e."""
+    if decimal_digits is None:
+        return itertools.starmap(_exact, pairs)
+    values = (p if q == 1 else dyadic_third(p, q.bit_length() - 2) for p, q in pairs)
+    return map(_render, values, repeat(decimal_digits))
 
 
 def _check_printable(n: int, remedy: str, what: str = "the argument") -> None:
@@ -242,34 +243,42 @@ _EXACT_REMEDY = "print N significant digits with --decimal N"
 def _emit(args, columns, rows, lines, items=None) -> None:
     """Print one command's output in args.format; no other code reads it.
 
-    csv: the header `columns`, then `rows`.  plain: `lines`.  json:
-    `items`, each row as an object over `columns` unless given; one
-    array for table and scan, else one object per line.  rows, lines
-    and items may be lazy views of one computation: only one is read.
+    csv: the header `columns`, then `rows`.  plain: `lines`, newlines
+    included.  json: `items`, each row as an object over `columns` unless
+    given; one array for table and scan, else one object per line.  rows,
+    lines and items may be lazy views of one computation: only one is read.
     """
     if items is None:
         items = (dict(zip(columns, row)) for row in rows)
     if args.format == "plain":
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.writelines(lines)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
     elif args.command not in ("table", "scan"):
         sys.stdout.writelines(json.dumps(item) + "\n" for item in items)
-    else:  # the bytes of json.dumps(list(items)), one chunk at a time
-        items, opening = iter(items), "["
-        while chunk := list(itertools.islice(items, _JSON_CHUNK)):
-            sys.stdout.write(opening + json.dumps(chunk)[1:-1])
-            opening = ", "
-        sys.stdout.write("[]\n" if opening == "[" else "]\n")
+    else:  # the bytes of json.dumps(list(items))
+        chunks = _joined(items, "[", ", ", "]\n", lambda chunk: json.dumps(chunk)[1:-1])
+        sys.stdout.writelines(chunks)
+
+
+def _joined(items, opening: str, separator: str, closing: str, encode):
+    """opening, the encoded items joined by separator, and closing, as pieces of
+    at most _JSON_CHUNK items each, in bounded memory."""
+    items, started = iter(items), False
+    while chunk := list(itertools.islice(items, _JSON_CHUNK)):
+        yield (separator if started else opening) + encode(chunk)
+        started = True
+    yield closing if started else opening + closing
 
 
 def _cmd_eval(args) -> int:
     if args.format != "plain":
         _check_printable(args.n, _ECHO_REMEDY)
     value = _render(EVAL_FUNCTIONS[args.function](args.n), args.decimal)
-    _emit(args, ("function", "n", "value"), [(args.function, args.n, value)], [value])
+    row, line = (args.function, args.n, value), value + "\n"
+    _emit(args, ("function", "n", "value"), [row], [line])
     return 0
 
 
@@ -300,7 +309,7 @@ def _cmd_verify(args) -> int:
              r.counterexample.detail() if r.counterexample is not None else "")
             for r in reports
         ),
-        (r.line() for r in reports),
+        (r.line() + "\n" for r in reports),
         (r.record() for r in reports),
     )  # fmt: skip
     return 0 if all(r.status == "pass" for r in done) else 1
@@ -321,14 +330,15 @@ def _cmd_extremal(args) -> int:
     record = asdict(report) | {"min_value": low, "max_value": high}
     at = [",".join(map(str, p)) for p in (report.min_points, report.max_points)]
     row = (report.m, low, at[0].replace(",", ";"), high, at[1].replace(",", ";"))
-    line = f"min {low} at {at[0]}; max {high} at {at[1]}"
+    line = f"min {low} at {at[0]}; max {high} at {at[1]}\n"
     _emit(args, tuple(record), [row + (report.degenerate,)], [line], [record])
     return 0
 
 
 def _cmd_scan(args) -> int:
-    found = scan_g_below(args.threshold, args.bound)
-    _emit(args, ("n",), ((n,) for n in found), [" ".join(map(str, found))], found)
+    found = itertools.chain.from_iterable(_g_below_windows(args.threshold, args.bound))
+    line = _joined(found, "", " ", "\n", lambda chunk: " ".join(map(str, chunk)))
+    _emit(args, ("n",), ((n,) for n in found), line, found)
     return 0
 
 
@@ -352,7 +362,7 @@ def _cmd_cesaro(args) -> int:
     mean = _render(sums.cesaro_mean(args.function, args.n), args.decimal)
     exact = sums.cesaro_limit(args.function)  # None where _IRRATIONAL_LIMITS has it
     limit = _IRRATIONAL_LIMITS.get(args.function) or _render(exact, args.decimal)
-    row, line = (args.function, args.n, mean, limit), f"mean {mean} limit {limit}"
+    row, line = (args.function, args.n, mean, limit), f"mean {mean} limit {limit}\n"
     _emit(args, ("function", "n", "mean", "limit"), [row], [line])
     return 0
 
@@ -383,35 +393,19 @@ def _cmd_table(args) -> int:
     def window(lo: int, hi: int):
         """Rows lo..hi, lo = hi = 0 or inside one block, rendered as read."""
         ns = range(lo, hi + 1)
-        if lo and any(function in _WINDOWED for function in functions):
-            kernels = _window(lo, hi)
+        if lo and any(function in sums._COLUMNS for function in functions):
+            kernels = deviations._Window(lo, hi)  # shared by the columns
         columns = [
-            _cells(*_WINDOWED[function](*kernels), args.decimal)
-            if lo and function in _WINDOWED
+            _cells(sums._COLUMNS[function](kernels), args.decimal)
+            if lo and function in sums._COLUMNS
             else map(_render, map(function, ns), repeat(args.decimal))
             for function in functions
         ]
         return zip(ns, *columns)
 
     rows = (row for piece in _windows(args.start, args.stop) for row in window(*piece))
-    _emit(args, ["n"] + names, rows, (" ".join(map(str, row)) for row in rows))
+    _emit(args, ["n"] + names, rows, (" ".join(map(str, row)) + "\n" for row in rows))
     return 0
-
-
-# The shipped kernels, found by identity as verify._CORES finds them, and their
-# lazy values over 3 * 2**e (e None: integers) as (values, e) from a window
-# (ns, m, reverse(n), h(n), h(n >> 1)).  Other functions are called once per n.
-_WINDOWED = {
-    v_fast: lambda ns, m, r, h, hh: (map(sums._v_num, ns, repeat(m), r), m),
-    u_fast: lambda ns, m, r, h, hh: (map(sums._u_of, ns, map(_u3, ns, hh)), None),
-    g_fast: lambda ns, m, r, h, hh: (
-        map(sums._g_num, ns, repeat(m), _g_column(ns, m, r, hh)), m
-    ),
-    dev_v: lambda ns, m, r, h, hh: (r, m),
-    dev_u_closed: lambda ns, m, r, h, hh: (map(_u3, ns, hh), 0),
-    dev_g_closed: lambda ns, m, r, h, hh: (_g_column(ns, m, r, hh), m),
-    h_eval: lambda ns, m, r, h, hh: (h, None),
-}
 
 
 def _late(name: str):

@@ -27,7 +27,8 @@ rule digit by digit) and dev_g_digit (half the sum of v(n >> (p+1))
 over the zero digits p < m of n) are references for the tests and the
 benchmark that no checker reads.  Over a window of consecutive n in one
 block, _stepped builds reverse, h, dev_u's 3u and dev_g's state 8 digits
-at a time, each from the scalar core's own table entry for the chunk.
+at a time, each from the scalar core's own table entry for the chunk,
+and a _Window holds them for one window, each built on its first read.
 
 h(n) = sum of floor(n / 2**(k+1)) over the zero digits k of n below the
 leading one; it sits in [0, n-1], vanishing exactly on the all-ones
@@ -60,6 +61,7 @@ from h.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Callable
 
@@ -320,43 +322,43 @@ def _g_steps(xs, states, m):  # _dev_g_state's loop body, on the state of x
     ]
 
 
-def _reverses(ns: range) -> list[int]:  # 0 at n = 0, as in _dev_v_core
-    return _stepped(ns, lambda n: _dev_v_core(n)[0], _reverse_steps)
+class _Window:
+    """The window kernels over ns = lo..hi, n = 0 alone or inside one block I_m,
+    as the scalar cores give them, each built on its first read and then kept:
+    reverse(n), h(n), the closed forms' 3u and g, and the recurrences'."""
 
+    def __init__(self, lo: int, hi: int):
+        self.ns, self.m = range(lo, hi + 1), max(hi.bit_length() - 1, 0)
 
-def _h_window(ns: range) -> list[int]:
-    return _stepped(ns, h_eval, _h_steps)
+    @cached_property
+    def reverse(self) -> list[int]:  # 0 at n = 0, as in _dev_v_core
+        return _stepped(self.ns, lambda n: _dev_v_core(n)[0], _reverse_steps)
 
+    @cached_property
+    def h(self) -> list[int]:
+        return _stepped(self.ns, h_eval, _h_steps)
 
-def _halves(ns: range) -> list[int]:  # h(n >> 1), 0 for n <= 1 as in _triple_u
-    if ns[0] < 2:
-        return [0] * len(ns)
-    h = _h_window(range(ns[0] >> 1, (ns[-1] >> 1) + 1))
-    return [value for value in h for _ in (0, 1)][ns[0] & 1 :][: len(ns)]
+    @cached_property
+    def triple_u(self) -> list[int]:  # from h(n >> 1), 0 for n <= 1 as in _triple_u
+        lo, hi = self.ns[0], self.ns[-1]
+        h = _stepped(range(lo >> 1, (hi >> 1) + 1), h_eval, _h_steps) if lo > 1 else [0]
+        halves = [value for value in h for _ in (0, 1)][lo & 1 :][: len(self.ns)]
+        return list(map(_triple_u, self.ns, halves))
 
+    @cached_property
+    def g(self) -> list[int]:  # g(n) * 3 * 2**m by the closed form
+        return list(map(_g_num, self.ns, repeat(self.m), self.reverse, self.triple_u))
 
-def _dev_u_window(ns: range) -> list[int]:  # 3u(n), as _dev_u_core walks it
-    return _stepped(ns, lambda n: _dev_u_core(n)[0], _u_steps)
+    @cached_property
+    def dev_u(self) -> list[int]:  # 3u(n), as _dev_u_core walks it
+        return _stepped(self.ns, lambda n: _dev_u_core(n)[0], _u_steps)
 
-
-def _dev_g_window(ns: range) -> list[tuple[int, int]]:
-    """_dev_g_core's pairs over a window: its states, then its drop."""
-    states, bits = _stepped(ns, _dev_g_state, _g_steps), ns[-1].bit_length()
-    level = states[0][2]
-    drop = level + 1 - bits if bits else 0
-    mask, den, wide = (1 << drop) - 1, 3 << (level - drop), 3 << level
-    return [(g >> drop, den) if not g & mask else (g, wide) for g, _, _ in states]
-
-
-def _window(lo: int, hi: int) -> tuple[range, int, list[int], list[int], list[int]]:
-    """(ns, m, reverse(n), h(n), h(n >> 1)) for ns = lo..hi inside one block I_m."""
-    ns = range(lo, hi + 1)
-    return ns, hi.bit_length() - 1, _reverses(ns), _h_window(ns), _halves(ns)
-
-
-def _g_column(ns: range, m: int, reverse: list[int], halves: list[int]):
-    """g(n) * 3 * 2**m over a window of _window, lazily."""
-    return map(_g_num, ns, repeat(m), reverse, map(_triple_u, ns, halves))
+    @cached_property
+    def dev_g(self) -> list[tuple[int, int]]:  # _dev_g_core's states, then its drop
+        states = _stepped(self.ns, _dev_g_state, _g_steps)
+        drop = states[0][2] - self.m  # the byte padding's zeros
+        mask, den, wide = (1 << drop) - 1, 3 << self.m, 3 << states[0][2]
+        return [(g >> drop, den) if not g & mask else (g, wide) for g, _, _ in states]
 
 
 def dev_g_closed(n: int) -> Fraction:

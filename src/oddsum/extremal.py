@@ -27,11 +27,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, starmap
 
+from . import deviations
 from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
-from .deviations import _dev_g_core, _dev_v_core, _g_column, _halves, _reverses
-from .deviations import _windows, dev_g
-from .sums import _check_brute_cap, u_fast, v_fast
+from .deviations import _dev_g_core, _dev_v_core, _windows, dev_g, dev_g_closed
+from .sums import _COLUMNS, _check_brute_cap, u_fast, v_fast
 
 __all__ = [
     "EQUALITY_KINDS",
@@ -276,16 +277,22 @@ def perfect_mean_solutions(bound: int) -> list[int]:
     return equality_set("U_EVEN_UPPER", bound)
 
 
-def scan_g_below(threshold: Fraction, bound: int) -> list[int]:
-    """All n <= bound with g(n) < threshold, strictly, by full scan."""
+def _g_below_windows(threshold: Fraction, bound: int):
+    """The n <= bound with g(n) < threshold, strictly, as one list per window
+    of g, lazily; a bound past the cap is refused at the call."""
     if bound < 0:
         raise DomainError("scan_g_below requires bound >= 0")
     _check_brute_cap("the scan bound", bound)
     p, q = Fraction(threshold).as_integer_ratio()
-    found: list[int] = []
-    for lo, hi in _windows(1, bound):  # one window of g at a time
-        ns, m = range(lo, hi + 1), hi.bit_length() - 1
-        below = p * (3 << m)  # g(n) = num/(3 * 2**m) < p/q, cross-multiplied
-        g_nums = _g_column(ns, m, _reverses(ns), _halves(ns))
-        found += (n for n, num in zip(ns, g_nums) if num * q < below)
-    return found
+    column = _COLUMNS[dev_g_closed]  # (num, 3 * 2**m) over a window of I_m
+
+    def below(window):  # g(n) < p/q iff num < p * 3 * 2**m / q, rounded up
+        top = -(-p * (3 << window.m) // q)
+        return [n for n, (num, _) in zip(window.ns, column(window)) if num < top]
+
+    return map(below, starmap(deviations._Window, _windows(1, bound)))
+
+
+def scan_g_below(threshold: Fraction, bound: int) -> list[int]:
+    """All n <= bound with g(n) < threshold, strictly, by full scan."""
+    return list(chain.from_iterable(_g_below_windows(threshold, bound)))

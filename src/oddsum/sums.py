@@ -29,6 +29,10 @@ integer, and each evaluator builds one Fraction at the end, reduced by
 bitcore.dyadic_third in time linear in the width.  Their cost is that of
 h, one product: O(M(m)) with M(m) the cost of an m-bit product.
 
+_CORES and _COLUMNS map each shipped kernel, found by identity, to its
+integer forms at one n and over a window of one block; verify, table and
+scan g-below read every shipped kernel through them.
+
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
 """
@@ -36,6 +40,7 @@ profiles f, which tend to (2/3) * integral of f over [0, 1].
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator
 
 from . import deviations
@@ -176,6 +181,30 @@ def _g_num(n: int, m: int, g: int) -> int:  # G(n) * 3 * 2**m, from g(n) * 3 * 2
 def g_fast(n: int) -> Fraction:
     """G(n) = n(n+2)/3 - g(n)."""
     return deviations._dyadic(_g_fast_core(n))
+
+
+# Each shipped kernel's integer core, keyed by the function: never a wrapper
+_CORES = {
+    v_fast: _v_fast_core,
+    g_fast: _g_fast_core,
+    deviations.dev_v: deviations._dev_v_core,
+    deviations.dev_u: deviations._dev_u_core,
+    deviations.dev_g: deviations._dev_g_core,
+}
+
+# Each shipped kernel's (num, den) pairs over a deviations._Window w of I_m, as
+# _read gives them: den = 3 * 2**m (dev_g's own off it), 3 for u, 1 for integers
+_COLUMNS = {
+    v_fast: lambda w: zip(map(_v_num, w.ns, repeat(w.m), w.reverse), repeat(3 << w.m)),
+    u_fast: lambda w: zip(map(_u_of, w.ns, w.triple_u), repeat(1)),
+    g_fast: lambda w: zip(map(_g_num, w.ns, repeat(w.m), w.g), repeat(3 << w.m)),
+    deviations.dev_v: lambda w: zip(w.reverse, repeat(3 << w.m)),
+    deviations.dev_u: lambda w: zip(w.dev_u, repeat(3)),
+    deviations.dev_g: lambda w: w.dev_g,
+    deviations.dev_u_closed: lambda w: zip(w.triple_u, repeat(3)),
+    deviations.dev_g_closed: lambda w: zip(w.g, repeat(3 << w.m)),
+    deviations.h_eval: lambda w: zip(w.h, repeat(1)),
+}
 
 
 CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")

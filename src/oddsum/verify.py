@@ -33,10 +33,10 @@ times the square of their width.
 
 Verdicts are integer arithmetic.  _read gives every value as one exact
 pair (num, den): while an Evaluators field is a shipped Fraction kernel,
-its integer core, found by identity in _CORES, with den = 3 * 2**m (3
-for dev_u); a replaced field is called as given and read by
+its integer core, found by identity in sums._CORES, with den = 3 * 2**m
+(3 for dev_u); a replaced field is called as given and read by
 as_integer_ratio.  The n-range scans read the same pairs a window of
-one block at a time, from deviations' window kernels (_COLUMNS), and
+one block at a time, from sums._COLUMNS beside it, and
 hat(n), tilde(n) and 4n + r from mirrored or scaled windows; a replaced
 field is still called once per n, lazily.  The trials, the grids and
 ORACLE_UVG, the per-n oracle of the kernels that eval runs, read per n.
@@ -64,8 +64,7 @@ from itertools import chain, repeat
 from typing import Callable
 
 from . import bitcore, deviations, extremal, sums
-from .deviations import _dev_g_window, _dev_u_window, _g_column, _halves, _h_window
-from .deviations import _reverses, _triple_u
+from .sums import _COLUMNS, _CORES
 
 __all__ = [
     "CLAIMS",
@@ -219,16 +218,6 @@ def _random_args(config: RangeConfig, theorem: str, wide_bits: int = 0) -> list[
     return args
 
 
-# Each shipped kernel's integer core, keyed by the function: never a wrapper
-_CORES = {
-    sums.v_fast: sums._v_fast_core,
-    sums.g_fast: sums._g_fast_core,
-    deviations.dev_v: deviations._dev_v_core,
-    deviations.dev_u: deviations._dev_u_core,
-    deviations.dev_g: deviations._dev_g_core,
-}
-
-
 def _read(field: Callable, n: int) -> tuple[int, int]:
     """field(n) as (num, den): a shipped kernel's core, or the returned
     value's as_integer_ratio()."""
@@ -236,36 +225,14 @@ def _read(field: Callable, n: int) -> tuple[int, int]:
     return field(n).as_integer_ratio() if core is None else core(n)
 
 
-# Each shipped field's pairs over a window ns of I_m (m = 0 for n = 0 alone),
-# as _read gives them, from the window kernels; found by identity like _CORES
-_COLUMNS = {
-    sums.v_fast: lambda ns, m: zip(
-        map(sums._v_num, ns, repeat(m), _reverses(ns)), repeat(3 << m)
-    ),
-    sums.u_fast: lambda ns, m: zip(
-        map(sums._u_of, ns, map(_triple_u, ns, _halves(ns))), repeat(1)
-    ),
-    sums.g_fast: lambda ns, m: zip(
-        map(sums._g_num, ns, repeat(m), _g_column(ns, m, _reverses(ns), _halves(ns))),
-        repeat(3 << m),
-    ),
-    deviations.dev_v: lambda ns, m: zip(_reverses(ns), repeat(3 << m)),
-    deviations.dev_u: lambda ns, m: zip(_dev_u_window(ns), repeat(3)),
-    deviations.dev_g: lambda ns, m: _dev_g_window(ns),
-    deviations.h_eval: lambda ns, m: zip(_h_window(ns), repeat(1)),
-}
-
-
 def _column(field: Callable, ns: range, windowed: bool):
     """field(n) for n in ns, step 1 or -1, as _read's pairs, lazily: windowed,
-    a shipped field's columns over deviations._windows, else _read per n."""
-    window = _COLUMNS.get(field) if windowed else None
-    if window is None:
+    a shipped field's _COLUMNS over deviations._windows, else _read per n."""
+    column = _COLUMNS.get(field) if windowed else None
+    if column is None:
         return map(_read, repeat(field), ns)
     pieces = deviations._windows(min(ns[0], ns[-1]), max(ns[0], ns[-1]))
-    pairs = chain.from_iterable(
-        window(range(lo, hi + 1), max(hi.bit_length() - 1, 0)) for lo, hi in pieces
-    )
+    pairs = chain.from_iterable(column(deviations._Window(*piece)) for piece in pieces)
     return pairs if ns.step > 0 else reversed(list(pairs))
 
 

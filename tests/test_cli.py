@@ -937,16 +937,21 @@ TABLE_ARGVS = [
 ]
 
 
-def table_both_ways(capsys, monkeypatch, *argv):
-    """(code, stdout, stderr) of a table, windowed and per n, and the windows read."""
-    read = []
-    window = cli._window
+def spy_windows(monkeypatch):
+    """The (lo, hi) of each deviations._Window built from now on."""
+    read, window = [], deviations._Window
 
     def spy(lo, hi):
         read.append((lo, hi))
         return window(lo, hi)
 
-    monkeypatch.setattr(cli, "_window", spy)
+    monkeypatch.setattr(deviations, "_Window", spy)
+    return read
+
+
+def table_both_ways(capsys, monkeypatch, *argv):
+    """(code, stdout, stderr) of a table, windowed and per n, and the windows read."""
+    read = spy_windows(monkeypatch)
     windowed = run(capsys, "table", *argv)
     with monkeypatch.context() as patch:
         for name, function in list(cli.EVAL_FUNCTIONS.items()):

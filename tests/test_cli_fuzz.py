@@ -1,11 +1,11 @@
-"""Fuzz the commands that print through cli._render: every input ends in a
-documented exit code, with no traceback, within a fixed time budget.
+"""Fuzz the commands that print through cli._render, and scan: every input
+ends in a documented exit code, with no traceback, within a fixed time budget.
 
 Each argv runs through main() in this process under a SIGALRM budget.
 stdout is a sink that fails with BrokenPipeError past _SINK_BYTES, as a
 reader that stops early would (`oddsum table ... | head -c 65536`), so a
-long table is cut short with exit 141 and the budget bounds the time
-spent per byte written, not the length of the output asked for.
+long table or scan is cut short with exit 141 and the budget bounds the
+time spent per byte written, not the length of the output asked for.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from oddsum import sums
 from oddsum.cli import DECIMAL_DIGITS_CAP, EVAL_FUNCTIONS, main
 from oddsum.extremal import LAMBDA_M_CAP
+from test_cli import spy_windows
 
 pytestmark = pytest.mark.skipif(
     not hasattr(signal, "SIGALRM"), reason="the budget needs signal.alarm"
@@ -98,6 +99,24 @@ flags = st.tuples(
     valid_flags, st.one_of(st.just(()), st.just(()), st.just(()), bad_flags)
 ).map(lambda f: [flag for group in f[0] for flag in group] + list(f[1]))
 
+# scan thresholds p and p/q: zero and negative ones, digits past the limit,
+# a zero denominator and malformed text
+thresholds = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.tuples(st.integers(-40, 40), st.integers(0, 12)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from([
+        "9" * (DIGIT_LIMIT + 1), "1/" + "9" * (DIGIT_LIMIT + 1), "9" * DIGIT_LIMIT,
+        "1/" + "9" * DIGIT_LIMIT, "1/0", "0/0", "", "abc", "1/", "/2", "1.5", "0b11",
+    ]),
+)  # fmt: skip
+# a scan of g up to the cap takes about 2.6 s (2 cores, Python 3.11), so the
+# bounds from 2**21 up to the cap come only from the cap's edge, drawn for
+# about one scan in 40
+scan_bounds = st.one_of(
+    *[naturals.filter(lambda n: not 1 << 21 < n <= sums.DEFAULT_BRUTE_CAP)] * 39,
+    st.integers(-2, 2).map(lambda offset: sums.DEFAULT_BRUTE_CAP + offset),
+)
+
 function_names = st.sampled_from([*EVAL_FUNCTIONS, "nope"])
 commands = st.one_of(
     st.tuples(st.just("eval"), function_names, arguments),
@@ -115,6 +134,12 @@ commands = st.one_of(
             [sums.DEFAULT_BRUTE_CAP, sums.DEFAULT_BRUTE_CAP + 1]
         ))).map(lambda r: (numeral(r[0]), numeral(r[0] + r[1]))),
     ).map(lambda t: (t[0], t[1], *t[2])),
+    st.tuples(
+        st.just("scan"),
+        st.sampled_from(["g-below", "g-below", "g-above"]),
+        thresholds,
+        st.one_of(scan_bounds.map(numeral), scan_bounds.map(numeral), malformed),
+    ),
 )
 argvs = st.tuples(commands, flags).map(lambda c: [*c[0], *c[1]])
 
@@ -123,11 +148,8 @@ def _overrun(signum, frame):
     raise Overrun
 
 
-@settings(
-    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(argvs)
-def test_render_commands_end_in_a_documented_exit(argv):
+def run_in_budget(argv):
+    """(exit code, stderr) of main(argv) into a Sink, failing past BUDGET_S."""
     err = io.StringIO()
     fd = os.open(os.devnull, os.O_WRONLY)
     previous = signal.signal(signal.SIGALRM, _overrun)
@@ -141,5 +163,24 @@ def test_render_commands_end_in_a_documented_exit(argv):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
         os.close(fd)
+    return code, err.getvalue()
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(argvs)
+def test_render_commands_end_in_a_documented_exit(argv):
+    code, err = run_in_budget(argv)
     assert code in (0, 1, 2, 3, 141), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("fmt", ("plain", "json", "csv"))
+def test_scan_streams_a_window_at_a_time_to_a_reader_that_leaves(monkeypatch, fmt):
+    # g(n) < 100 for every n: 64 KB hold about 11,000 n, from the first
+    # 14 of the 1,036 windows up to the cap
+    built = spy_windows(monkeypatch)
+    argv = ["scan", "g-below", "100", str(sums.DEFAULT_BRUTE_CAP), "--format", fmt]
+    assert run_in_budget(argv) == (141, "")
+    assert built[0] == (1, 1) and len(built) < 20

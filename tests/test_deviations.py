@@ -1,22 +1,20 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oddsum import deviations
+from oddsum import cli, deviations, sums, verify
 from oddsum.bitcore import DomainError, hat, tilde
 from oddsum.bitcore import reverse_digits
 from oddsum.deviations import (
     _H_BASE_BITS,
+    _Window,
     _dev_g_core,
-    _dev_g_window,
     _dev_u_core,
-    _dev_u_window,
-    _g_column,
     _h_product,
     _triple_u,
-    _window,
     _windows,
     dev_g,
     dev_g_closed,
@@ -433,29 +431,66 @@ def block_windows(draw, max_m=300):
 @example(((1 << 14) - 4096, (1 << 14) - 1))
 def test_window_kernel_is_the_scalar_kernels_at_each_n(window):
     lo, hi = window
-    ns, m, reverse, h, halves = _window(lo, hi)
+    w = _Window(lo, hi)
+    ns, m = w.ns, w.m
     assert ns == range(lo, hi + 1) and m == lo.bit_length() - 1
-    assert reverse == [reverse_digits(n) for n in ns]
-    assert h == [h_eval(n) for n in ns]
-    assert halves == [h_eval(n >> 1) if n > 1 else 0 for n in ns]
-    assert list(map(_triple_u, ns, halves)) == [_triple_u(n) for n in ns]
+    assert w.reverse == [reverse_digits(n) for n in ns]
+    assert w.h == [h_eval(n) for n in ns]
+    # 3u(n) = 2h(n >> 1) - e0*n, so this holds iff the window's h(n >> 1) does
+    assert w.triple_u == [_triple_u(n) for n in ns]
     # g against the doubling-rule walk, which reads neither reverse nor h
-    g_nums = _g_column(ns, m, reverse, halves)
-    assert [(num, 3 << m) for num in g_nums] == [_dev_g_core(n) for n in ns]
+    assert [(num, 3 << m) for num in w.g] == [_dev_g_core(n) for n in ns]
     assert window_rows(lo, hi) == [core_row(n) for n in ns]
 
 
+# The shipped kernels: the Evaluators defaults and the seven that eval and
+# table print through a window
+SHIPPED = {field.default for field in dataclasses.fields(verify.Evaluators)}
+WINDOWED_EVAL = {cli.EVAL_FUNCTIONS[name] for name in "VUGvugh"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_windows())
+@example((1, 1))
+@example((2, 3))
+@example((5, 7))
+@example(((1 << 14) - 4096, (1 << 14) - 1))
+def test_every_column_is_its_core_or_its_kernel_at_each_n(window):
+    assert set(sums._COLUMNS) == SHIPPED | WINDOWED_EVAL
+    assert len(sums._COLUMNS) == 9 and set(sums._CORES) < SHIPPED
+    lo, hi = window
+    w = _Window(lo, hi)
+    for kernel, column in sums._COLUMNS.items():
+        pairs = list(column(w))
+        core = sums._CORES.get(kernel)
+        if core is not None:
+            assert pairs == list(map(core, w.ns)), kernel.__name__
+        else:  # den 1 for an integer, 3 for u and 3 * 2**m for g
+            den = {dev_u_closed: 3, dev_g_closed: 3 << w.m}.get(kernel, 1)
+            assert pairs == [(p, den) for p, _ in pairs], kernel.__name__
+            values = [Fraction(p, q) for p, q in pairs]
+            assert values == list(map(kernel, w.ns)), kernel.__name__
+
+
+def test_a_window_builds_each_kernel_on_first_read_and_keeps_it():
+    w = _Window(5000, 6000)
+    assert set(vars(w)) == {"ns", "m"}
+    list(sums._COLUMNS[u_fast](w))
+    assert set(vars(w)) == {"ns", "m", "triple_u"}
+    g = w.g
+    assert w.g is g and set(vars(w)) == {"ns", "m", "triple_u", "reverse", "g"}
+
+
 def window_rows(lo, hi):
-    """(reverse, h, h(n >> 1), dev_u's 3u, dev_g's pair) at each n of lo..hi,
-    from the window kernels."""
-    ns, _, reverse, h, halves = _window(lo, hi)
-    return list(zip(reverse, h, halves, _dev_u_window(ns), _dev_g_window(ns)))
+    """(reverse, h, 3u from h(n >> 1), dev_u's 3u, dev_g's pair) at each n of
+    lo..hi, from the window kernels."""
+    w = _Window(lo, hi)
+    return list(zip(w.reverse, w.h, w.triple_u, w.dev_u, w.dev_g))
 
 
 def core_row(n):
     """The same five values at n from the scalar cores."""
-    half = h_eval(n >> 1) if n > 1 else 0
-    return reverse_digits(n), h_eval(n), half, _dev_u_core(n)[0], _dev_g_core(n)
+    return reverse_digits(n), h_eval(n), _triple_u(n), _dev_u_core(n)[0], _dev_g_core(n)
 
 
 def test_window_columns_are_the_scalar_cores_below_2_13():
@@ -483,9 +518,12 @@ def test_window_columns_are_the_scalar_cores_up_to_2_20(window):
 
 
 def test_window_columns_at_zero_are_the_cores():
-    assert deviations._reverses(range(1)) == [deviations._dev_v_core(0)[0]] == [0]
-    assert _dev_u_window(range(1)) == [_dev_u_core(0)[0]] == [0]
-    assert _dev_g_window(range(1)) == [_dev_g_core(0)] == [(0, 3)]
+    w = _Window(0, 0)
+    assert w.reverse == [deviations._dev_v_core(0)[0]] == [0]
+    assert w.dev_u == [_dev_u_core(0)[0]] == [0]
+    assert w.dev_g == [_dev_g_core(0)] == [(0, 3)]
+    for kernel in (dev_v, dev_u, dev_g):  # what EQL21 reads at n = 0
+        assert list(sums._COLUMNS[kernel](w)) == [sums._CORES[kernel](0)]
 
 
 def test_windows_split_at_powers_of_two_and_at_4096_rows():

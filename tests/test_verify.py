@@ -595,13 +595,14 @@ def test_window_columns_follow_a_corrupted_table_entry_for_entry(
     monkeypatch.setattr(deviations, table, entries)
     wide = (1 << 80) + 1000
     for lo, hi in [*deviations._windows(1, 9000), (wide, wide + 600)]:
-        ns, _, reverse, h, halves = deviations._window(lo, hi)
-        assert reverse == [reverse_digits(n) for n in ns]
-        assert h == list(map(deviations.h_eval, ns))
-        assert halves == [deviations.h_eval(n >> 1) if n > 1 else 0 for n in ns]
+        w = deviations._Window(lo, hi)
+        ns = w.ns
+        assert w.reverse == [reverse_digits(n) for n in ns]
+        assert w.h == list(map(deviations.h_eval, ns))
+        assert w.triple_u == list(map(deviations._triple_u, ns))  # from h(n >> 1)
         triples = [deviations._dev_u_core(n)[0] for n in ns]
-        assert deviations._dev_u_window(ns) == triples
-        assert deviations._dev_g_window(ns) == list(map(deviations._dev_g_core, ns))
+        assert w.dev_u == triples
+        assert w.dev_g == list(map(deviations._dev_g_core, ns))
 
 
 def test_eval_g_runs_the_kernel_that_verify_reads_through_g(monkeypatch, capsys):
