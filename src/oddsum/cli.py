@@ -16,9 +16,10 @@ kernel from sums._COLUMNS over windows of up to 4096 n, and table
 renders a cell only as its row goes out.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
-is large; N beyond DECIMAL_DIGITS_CAP exits 3 before any work.  main()
-builds its parser on the first call and every later call in the process
-reuses it; build_parser() still returns a fresh one.
+is large; N beyond DECIMAL_DIGITS_CAP exits 3, and N below 1 exits 2,
+before any work.  main() builds its parser on the first call and every
+later call in the process reuses it; build_parser() still returns a
+fresh one.
 Arguments are decimal or 0b-prefixed binary.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 resource cap exceeded, 141
 (128 + SIGPIPE) when the reader closes stdout early.  The
@@ -503,6 +504,8 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
+        if args.decimal is not None and args.decimal < 1:
+            raise ValueError(f"--decimal {args.decimal}: N must be at least 1")
         if args.decimal is not None and args.decimal > DECIMAL_DIGITS_CAP:
             raise ResourceLimitError(
                 f"--decimal {args.decimal} asks for more than {DECIMAL_DIGITS_CAP}"

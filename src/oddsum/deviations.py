@@ -42,20 +42,20 @@ with d <= bit_length(m) leave L - T < 2**m, and h(n) = n - s - X/2 is
 n - (s + ((P - T) >> m)) / 2: O(M(m)), M(m) the cost of an m-bit
 product, against O(m**2) for the defining sum.  Up to _H_BASE_BITS
 digits, where the product's fixed costs dominate, the defining sum runs
-8 digits per step from the bottom: the chunk c of digits j to j+7 adds
-(n >> (j+8)) * Z_8(c) + H_8(c) from a table, Z_8(c) the complement of c
-read in reverse and H_8(c) h over c padded to 8 digits, and a last chunk
-of w < 8 digits adds (n >> m) * (Z_8(c) >> (8-w)) + H_8(c).
+8 digits per step, as 3u's doubling rule does below.
 
-The recurrence evaluators walk digits most significant first with scaled
-integer state, so deep arguments cost no recursion depth and no
-intermediate reductions.  dev_u and dev_g start from n = 0, where the
-doubling rules already hold with u = g = v = 0, and read n padded to a
-multiple of 8 digits, 8 digits per step: a chunk acts on their state as
-an affine map whose coefficients come from a 256-entry table.  Each
-table is built at import by applying its kernel's one-digit rule 8
-times; the recurrences' tables come from their own doubling rules, not
-from h.
+h and 3u share one affine rule shape, f(2x + e) = f(x) + alpha_e x +
+beta_e with f(0) = 0: (alpha_e, beta_e) is (1 - e, 0) for h and
+(1 - 2e, -e) for 3u.  _affine_table applies a one-digit rule 8 times to
+give each chunk c of 8 digits its (a, b), f(256x + c) = f(x) + a x + b,
+and _affine_walk reads n in whole bytes from the top, from f(0) = 0;
+leading zeros add nothing, since f(0) = 0 forces beta_0 = 0.  The walk
+serves h_eval and dev_u, and _affine_steps, the same step over a window
+of x, serves their windows.  Each table comes from its kernel's own
+one-digit rule, so dev_u's is not h's.  dev_g walks its scaled state
+(g, v, level) over the same whole bytes, from n = 0, where g = v = 0, by
+its own 8-digit table.  The walks are loops over integer state, so deep
+arguments cost no recursion depth and no intermediate reductions.
 """
 
 from __future__ import annotations
@@ -84,57 +84,54 @@ __all__ = [
 _H_BASE_BITS = 88
 
 
-def _chunk_table(extend, start):
-    """A table over the 256 chunks of 8 digits, grown one lower digit at a time.
+def _affine_table(rule) -> list[tuple[int, int]]:
+    """(a, b) per chunk c of 8 digits: f(256x + c) = f(x) + a*x + b.
 
-    extend(table, width) applies a one-digit rule to the entries of the
-    chunks c of `width` digits and returns those of 2c and of 2c + 1.
+    rule[e] = (alpha, beta) is f's one-digit rule f(2x + e) = f(x) +
+    alpha*x + beta, applied once per digit of c, with beta = 0 at e = 0.
     """
-    table = [start]
-    for width in range(8):
-        zero, one = extend(table, width)
-        table = table * 2
-        table[0::2], table[1::2] = zero, one
+    table = [(0, 0)]
+    for width in range(8):  # append a lower digit e: the chunk c -> 2c + e
+        table = [
+            (a + (alpha << width), b + alpha * c + beta)
+            for c, (a, b) in enumerate(table)
+            for alpha, beta in rule
+        ]
     return table
 
 
-def _h_digit(table, width):
-    """(Z, H) with S(high * 2**width + c) = high*Z + H.
-
-    S sums n >> (j+1) over the zero digits j < width of n, and a lower
-    digit e adds one term: S(2n + e) = S(n) + (1-e) n.
-    """
-    return [(z + (1 << width), h + c) for c, (z, h) in enumerate(table)], table
-
-
-def _g_digit(table, width):
-    """(z, y, r): g' = (g << width) + z*v + (y << L), v' = v + (r << (L+1)).
+def _g_table() -> list[tuple[int, int, int]]:
+    """(z, y, r) per chunk: g' = (g << 8) + z*v + (y << L), v' = v + (r << (L+1)).
 
     (g, v) is scaled by 3 * 2**L.  A digit e at level L + width:
     g' <- 2g' + (1-e) v' and v' <- v' + (e << (L + width + 1)).
     """
-    bit = 1 << width
-    return (
-        [(2 * z + 1, 2 * y + (r << 1), r) for z, y, r in table],
-        [(2 * z, 2 * y, r + bit) for z, y, r in table],
-    )
+    table = [(0, 0, 0)]
+    for width in range(8):
+        bit = 1 << width
+        table = [
+            step
+            for z, y, r in table
+            for step in ((2 * z + 1, 2 * y + (r << 1), r), (2 * z, 2 * y, r + bit))
+        ]
+    return table
 
 
-def _u_digit(table, width):
-    """(a, b): 3u(high * 2**width + c) = 3u(high) + a*high + b.
-
-    A digit e: 3u(2p + e) = 3u(p) + p - e(2p + e).
-    """
-    bit = 1 << width
-    return (
-        [(a + bit, b + c) for c, (a, b) in enumerate(table)],
-        [(a - bit, b - c - 1) for c, (a, b) in enumerate(table)],
-    )
+# h(2x + e) = h(x) + (1-e) x, and 3u(2x + e) = 3u(x) + (1-2e) x - e
+_H_STEP = _affine_table(((1, 0), (0, 0)))
+_G_STEP = _g_table()
+_U_STEP = _affine_table(((1, 0), (-1, -1)))
 
 
-_H_STEP = _chunk_table(_h_digit, (0, 0))
-_G_STEP = _chunk_table(_g_digit, (0, 0, 0))
-_U_STEP = _chunk_table(_u_digit, (0, 0))
+def _affine_walk(n: int, table: list) -> int:
+    """f(n) from f(0) = 0 over the whole bytes c of n, top first, each adding
+    a*prefix + b, (a, b) = table[c]; n's leading zeros add nothing."""
+    prefix = total = 0
+    for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
+        a, b = table[c]
+        total += a * prefix + b
+        prefix = (prefix << 8) | c
+    return total
 
 
 def _dyadic(pair: tuple[int, int]) -> Fraction:
@@ -174,12 +171,7 @@ def _dev_u_core(n: int) -> tuple[int, int]:
     """u(n) as (3u, 3), by the doubling rule, 8 digits per step."""
     if n < 0:
         raise DomainError("dev_u requires n >= 0")
-    prefix = triple = 0  # triple is 3 * u(prefix)
-    for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
-        a, b = _U_STEP[c]
-        triple += a * prefix + b
-        prefix = (prefix << 8) | c
-    return triple, 3
+    return _affine_walk(n, _U_STEP), 3
 
 
 def dev_u(n: int) -> Fraction:
@@ -202,19 +194,9 @@ def h_eval(n: int) -> int:
     """h(n): sum of the right shifts n >> (k+1) over the zero digits k < m."""
     if n <= 0:
         raise DomainError("h_eval requires n >= 1")
-    m = n.bit_length() - 1
-    if m > _H_BASE_BITS:
+    if n.bit_length() - 1 > _H_BASE_BITS:
         return _h_product(n)
-    total = 0
-    high = n
-    for _ in range(m >> 3):  # the defining sum, 8 digits per step
-        zeros, low = _H_STEP[high & 0xFF]
-        high >>= 8
-        total += high * zeros + low
-    if width := m & 7:
-        zeros, low = _H_STEP[high & ((1 << width) - 1)]
-        total += (high >> width) * (zeros >> (8 - width)) + low
-    return total
+    return _affine_walk(n, _H_STEP)  # the defining sum, 8 digits per step
 
 
 def _triple_u(n: int, h_half: int | None = None) -> int:
@@ -306,12 +288,12 @@ def _reverse_steps(xs, reverse, m):  # reverse_digits reads c's byte reversed
     return [top + r for r in reverse for top in tops]
 
 
-def _h_steps(xs, h, m):  # h_eval's first step: h(x) + x*Z + H
-    return [h_x + x * z + low for x, h_x in zip(xs, h) for z, low in _H_STEP]
+def _affine_steps(table: list) -> Callable:  # _affine_walk's last step
+    return lambda xs, f, m: [f_x + a * x + b for x, f_x in zip(xs, f) for a, b in table]
 
 
-def _u_steps(xs, triple, m):  # _dev_u_core's last step: 3u(x) + a*x + b
-    return [t + a * x + b for x, t in zip(xs, triple) for a, b in _U_STEP]
+def _h_column(ns: range) -> list[int]:
+    return _stepped(ns, h_eval, _affine_steps(_H_STEP))
 
 
 def _g_steps(xs, states, m):  # _dev_g_state's loop body, on the state of x
@@ -336,12 +318,12 @@ class _Window:
 
     @cached_property
     def h(self) -> list[int]:
-        return _stepped(self.ns, h_eval, _h_steps)
+        return _h_column(self.ns)
 
     @cached_property
     def triple_u(self) -> list[int]:  # from h(n >> 1), 0 for n <= 1 as in _triple_u
         lo, hi = self.ns[0], self.ns[-1]
-        h = _stepped(range(lo >> 1, (hi >> 1) + 1), h_eval, _h_steps) if lo > 1 else [0]
+        h = _h_column(range(lo >> 1, (hi >> 1) + 1)) if lo > 1 else [0]
         halves = [value for value in h for _ in (0, 1)][lo & 1 :][: len(self.ns)]
         return list(map(_triple_u, self.ns, halves))
 
@@ -351,7 +333,7 @@ class _Window:
 
     @cached_property
     def dev_u(self) -> list[int]:  # 3u(n), as _dev_u_core walks it
-        return _stepped(self.ns, lambda n: _dev_u_core(n)[0], _u_steps)
+        return _stepped(self.ns, lambda n: _dev_u_core(n)[0], _affine_steps(_U_STEP))
 
     @cached_property
     def dev_g(self) -> list[tuple[int, int]]:  # _dev_g_core's states, then its drop

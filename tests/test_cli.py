@@ -420,6 +420,23 @@ def test_decimal_digits_over_cap_exit_3_before_any_work(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "V", "5", "--decimal", "0"),
+        ("table", "V", "1", "3", "--decimal", "0", "--format", "csv"),
+        ("verify", "P1B", "--max-n", "3", "--decimal", "0"),
+        ("scan", "g-below", "1/4", "16", "--decimal", "0"),
+        ("eval", "V", "5", "--decimal", "-1"),
+    ],
+)
+def test_decimal_digits_below_1_exit_2_before_any_work(capsys, monkeypatch, argv):
+    monkeypatch.setitem(cli.EVAL_FUNCTIONS, "V", lambda n: pytest.fail("evaluated"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--decimal" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, cap, flag",
     [
         (("P1B", "--max-n", "1000000000"), "MAX_N_CAP", "--max-n"),

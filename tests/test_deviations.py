@@ -517,6 +517,49 @@ def test_window_columns_are_the_scalar_cores_up_to_2_20(window):
     assert window_rows(lo, hi) == [core_row(n) for n in range(lo, hi + 1)]
 
 
+# The shared affine kernel, f(2x + e) = f(x) + alpha_e x + beta_e from f(0) = 0,
+# on one-digit rules that neither h nor 3u uses; f(0) = 0 forces beta_0 = 0.
+coefficient = st.integers(min_value=-(1 << 40), max_value=1 << 40)
+affine_rules = st.tuples(coefficient, coefficient, coefficient).map(
+    lambda abc: ((abc[0], 0), (abc[1], abc[2]))
+)
+
+
+def affine_fold(rule, n):
+    """f(n) by the one-digit rule, one digit at a time from the top."""
+    f = x = 0
+    for digit in map(int, bin(n)[2:]):
+        alpha, beta = rule[digit]
+        f += alpha * x + beta
+        x = 2 * x + digit
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(affine_rules, st.randoms(use_true_random=False))
+@example(((1, 0), (0, 0)), random.Random(0))  # h
+@example(((1, 0), (-1, -1)), random.Random(0))  # 3u
+def test_affine_walk_is_the_one_digit_fold_at_every_width(rule, rng):
+    table = deviations._affine_table(rule)
+    assert deviations._affine_walk(0, table) == 0
+    for bits in [*range(1, 41), *range(250, 271)]:
+        for n in (1 << (bits - 1), (1 << bits) - 1, random_width(rng, bits)):
+            assert deviations._affine_walk(n, table) == affine_fold(rule, n), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(affine_rules, block_windows())
+def test_affine_steps_over_a_window_are_the_walk_at_each_n(rule, window):
+    table = deviations._affine_table(rule)
+
+    def walk(n):
+        return deviations._affine_walk(n, table)
+
+    ns = range(window[0], window[1] + 1)
+    steps = deviations._affine_steps(table)
+    assert deviations._stepped(ns, walk, steps) == list(map(walk, ns))
+
+
 def test_window_columns_at_zero_are_the_cores():
     w = _Window(0, 0)
     assert w.reverse == [deviations._dev_v_core(0)[0]] == [0]

@@ -559,15 +559,15 @@ def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
 
 
 # One entry of each 8-digit table, off by one where the smoke range reads
-# it: the chunk 10 is all of g(10) and u(10), and h(13) takes its last
-# three digits, 0b101, from the entry 5.
+# it: the chunk 10 is all of g(10) and u(10), and h(13), which U(26) reads
+# through 3u(26) = 2h(13), is the one whole byte 13.
 TABLE_FAULTS = [
     ("_G_STEP", 10, 1, "EQL21",
      "EQL21 fail checked=3 n=2 residue=2 expected=3/8 actual=289/768"),
     ("_G_STEP", 10, 1, "P6B", "P6B fail checked=10 n=10 expected=3/8 actual=289/768"),
     ("_U_STEP", 10, 1, "EQ4_IDENTITY",
      "EQ4_IDENTITY fail checked=10 n=10 function=U expected=107/3 actual=36"),
-    ("_H_STEP", 5, 1, "ORACLE_UVG",
+    ("_H_STEP", 13, 1, "ORACLE_UVG",
      "ORACLE_UVG fail checked=26 n=26 function=U expected=232 actual=231"),
 ]  # fmt: skip
 
