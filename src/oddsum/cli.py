@@ -253,10 +253,11 @@ def _emit(args, columns, rows, lines, items=None) -> None:
         items = (dict(zip(columns, row)) for row in rows)
     if args.format == "plain":
         sys.stdout.writelines(lines)
-    elif args.format == "csv":
+    elif args.format == "csv":  # the header waits for the first row, if any
+        rows = iter(rows)
+        first = list(itertools.islice(rows, 1))
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows(itertools.chain([columns], first, rows))
     elif args.command not in ("table", "scan"):
         sys.stdout.writelines(json.dumps(item) + "\n" for item in items)
     else:  # the bytes of json.dumps(list(items))

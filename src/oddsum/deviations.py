@@ -44,18 +44,22 @@ product, against O(m**2) for the defining sum.  Up to _H_BASE_BITS
 digits, where the product's fixed costs dominate, the defining sum runs
 8 digits per step, as 3u's doubling rule does below.
 
-h and 3u share one affine rule shape, f(2x + e) = f(x) + alpha_e x +
-beta_e with f(0) = 0: (alpha_e, beta_e) is (1 - e, 0) for h and
-(1 - 2e, -e) for 3u.  _affine_table applies a one-digit rule 8 times to
-give each chunk c of 8 digits its (a, b), f(256x + c) = f(x) + a x + b,
-and _affine_walk reads n in whole bytes from the top, from f(0) = 0;
-leading zeros add nothing, since f(0) = 0 forces beta_0 = 0.  The walk
-serves h_eval and dev_u, and _affine_steps, the same step over a window
-of x, serves their windows.  Each table comes from its kernel's own
-one-digit rule, so dev_u's is not h's.  dev_g walks its scaled state
-(g, v, level) over the same whole bytes, from n = 0, where g = v = 0, by
-its own 8-digit table.  The walks are loops over integer state, so deep
-arguments cost no recursion depth and no intermediate reductions.
+Every second evaluator walks a state (f, s, L) by a one-digit rule
+(alpha_e, beta_e, gamma_e) and shifts (kf, ks, kt): the digit e maps the
+state to (f 2**kf + alpha_e s + (beta_e << L), s 2**ks + (gamma_e << L),
+L + kt), a 3x3 upper-triangular matrix on (f, s, 2**L).  h and 3u carry
+(f, x, 0), x the prefix read so far, with shifts (0, 1, 0), so that
+f(2x + e) = f(x) + alpha_e x + beta_e; h's rule is ((1, 0, 0), (0, 0, 1))
+and 3u's ((1, 0, 0), (-1, -1, 1)).  dev_g carries (g, v, L), g and v
+scaled by 3 * 2**L, with shifts (1, 0, 1) and the rule ((1, 0, 0),
+(0, 0, 2)).  _chunk_table joins 8 one-digit maps into each 8-digit
+chunk's map (a, b, c), and _walk reads n in whole bytes from the top,
+from (0, 0, 0); there beta_0 = gamma_0 = 0 make leading zeros add only
+to L.  The walk serves h_eval, dev_u and dev_g; over a window,
+_affine_steps (h and 3u, values only) and _g_steps take its last step.
+Each table comes from its kernel's own rule, so dev_u's is not h's.  The
+walk is a loop over integer state, so deep arguments cost no recursion
+depth and no intermediate reductions.
 """
 
 from __future__ import annotations
@@ -84,54 +88,44 @@ __all__ = [
 _H_BASE_BITS = 88
 
 
-def _affine_table(rule) -> list[tuple[int, int]]:
-    """(a, b) per chunk c of 8 digits: f(256x + c) = f(x) + a*x + b.
+def _chunk_table(rule, kf: int, ks: int, kt: int) -> list[tuple[int, int, int]]:
+    """(a, b, c) per chunk of 8 digits: the chunk maps (f, s, L) to
+    (f 2**(8kf) + a s + (b << L), s 2**(8ks) + (c << L), L + 8kt).
 
-    rule[e] = (alpha, beta) is f's one-digit rule f(2x + e) = f(x) +
-    alpha*x + beta, applied once per digit of c, with beta = 0 at e = 0.
-    """
-    table = [(0, 0)]
-    for width in range(8):  # append a lower digit e: the chunk c -> 2c + e
-        table = [
-            (a + (alpha << width), b + alpha * c + beta)
-            for c, (a, b) in enumerate(table)
-            for alpha, beta in rule
-        ]
-    return table
-
-
-def _g_table() -> list[tuple[int, int, int]]:
-    """(z, y, r) per chunk: g' = (g << 8) + z*v + (y << L), v' = v + (r << (L+1)).
-
-    (g, v) is scaled by 3 * 2**L.  A digit e at level L + width:
-    g' <- 2g' + (1-e) v' and v' <- v' + (e << (L + width + 1)).
+    rule[e] = (alpha, beta, gamma) is the one-digit map (f 2**kf + alpha s +
+    (beta << L), s 2**ks + (gamma << L), L + kt), joined once per digit.
     """
     table = [(0, 0, 0)]
-    for width in range(8):
-        bit = 1 << width
+    for w in range(8):  # append a lower digit e: chunk i becomes chunk 2i + e
         table = [
-            step
-            for z, y, r in table
-            for step in ((2 * z + 1, 2 * y + (r << 1), r), (2 * z, 2 * y, r + bit))
+            (
+                (a << kf) + (alpha << w * ks),
+                (b << kf) + alpha * c + (beta << w * kt),
+                (c << ks) + (gamma << w * kt),
+            )
+            for a, b, c in table
+            for alpha, beta, gamma in rule
         ]
     return table
 
 
-# h(2x + e) = h(x) + (1-e) x, and 3u(2x + e) = 3u(x) + (1-2e) x - e
-_H_STEP = _affine_table(((1, 0), (0, 0)))
-_G_STEP = _g_table()
-_U_STEP = _affine_table(((1, 0), (-1, -1)))
+# h(2x + e) = h(x) + (1-e) x and 3u(2x + e) = 3u(x) + (1-2e) x - e; with g and v
+# scaled by 3 * 2**L, g(2n + e) = 2g(n) + (1-e) v(n), v(2n + e) = v(n) + (2e << L)
+_H_STEP = _chunk_table(((1, 0, 0), (0, 0, 1)), 0, 1, 0)
+_U_STEP = _chunk_table(((1, 0, 0), (-1, -1, 1)), 0, 1, 0)
+_G_STEP = _chunk_table(((1, 0, 0), (0, 0, 2)), 1, 0, 1)
 
 
-def _affine_walk(n: int, table: list) -> int:
-    """f(n) from f(0) = 0 over the whole bytes c of n, top first, each adding
-    a*prefix + b, (a, b) = table[c]; n's leading zeros add nothing."""
-    prefix = total = 0
+def _walk(n: int, table: list, kf: int, ks: int, kt: int) -> tuple[int, int, int]:
+    """(f, s, L) from (0, 0, 0) over the whole bytes c of n, top first, by the
+    chunk maps table[c]; kf, ks and kt are a byte's shifts, 8 times a digit's."""
+    f = s = level = 0
     for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
-        a, b = table[c]
-        total += a * prefix + b
-        prefix = (prefix << 8) | c
-    return total
+        a, b, x = table[c]
+        f = (f << kf) + a * s + (b << level)
+        s = (s << ks) + (x << level)
+        level += kt
+    return f, s, level
 
 
 def _dyadic(pair: tuple[int, int]) -> Fraction:
@@ -171,7 +165,7 @@ def _dev_u_core(n: int) -> tuple[int, int]:
     """u(n) as (3u, 3), by the doubling rule, 8 digits per step."""
     if n < 0:
         raise DomainError("dev_u requires n >= 0")
-    return _affine_walk(n, _U_STEP), 3
+    return _walk(n, _U_STEP, 0, 8, 0)[0], 3
 
 
 def dev_u(n: int) -> Fraction:
@@ -196,7 +190,7 @@ def h_eval(n: int) -> int:
         raise DomainError("h_eval requires n >= 1")
     if n.bit_length() - 1 > _H_BASE_BITS:
         return _h_product(n)
-    return _affine_walk(n, _H_STEP)  # the defining sum, 8 digits per step
+    return _walk(n, _H_STEP, 0, 8, 0)[0]  # the defining sum, 8 digits per step
 
 
 def _triple_u(n: int, h_half: int | None = None) -> int:
@@ -214,23 +208,11 @@ def dev_u_closed(n: int) -> Fraction:
     return Fraction(_triple_u(n), 3)
 
 
-def _dev_g_state(n: int) -> tuple[int, int, int]:
-    """(g, v, level): g(n) and v(n) scaled by 3 * 2**level, n padded to level
-    digits, by the doubling rules, 8 digits per step."""
-    g_num = v_num = level = 0
-    for c in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
-        z, y, r = _G_STEP[c]
-        g_num = (g_num << 8) + z * v_num + (y << level)
-        v_num += r << (level + 1)
-        level += 8
-    return g_num, v_num, level
-
-
 def _dev_g_core(n: int) -> tuple[int, int]:
     """g(n) as (num, 3 * 2**m), m = floor_lg(n); (0, 3) at n = 0."""
     if n < 0:
         raise DomainError("dev_g requires n >= 0")
-    g_num, _, level = _dev_g_state(n)
+    g_num, _, level = _walk(n, _G_STEP, 8, 0, 8)  # g and v at 3 * 2**level
     drop = level + 1 - n.bit_length() if n else 0  # the byte padding's zeros
     if g_num & ((1 << drop) - 1):  # off the 3 * 2**m grid: a corrupted table
         drop = 0
@@ -288,19 +270,19 @@ def _reverse_steps(xs, reverse, m):  # reverse_digits reads c's byte reversed
     return [top + r for r in reverse for top in tops]
 
 
-def _affine_steps(table: list) -> Callable:  # _affine_walk's last step
-    return lambda xs, f, m: [f_x + a * x + b for x, f_x in zip(xs, f) for a, b in table]
+def _affine_steps(table: list) -> Callable:  # _walk's last step, on h's or 3u's f
+    return lambda xs, f, m: [y + a * x + b for x, y in zip(xs, f) for a, b, _ in table]
 
 
 def _h_column(ns: range) -> list[int]:
     return _stepped(ns, h_eval, _affine_steps(_H_STEP))
 
 
-def _g_steps(xs, states, m):  # _dev_g_state's loop body, on the state of x
+def _g_steps(xs, states, m):  # _walk's last step, on g's state at x
     return [
-        ((g << 8) + z * v + (y << level), v + (r << (level + 1)), level + 8)
+        ((g << 8) + a * v + (b << level), v + (c << level), level + 8)
         for g, v, level in states
-        for z, y, r in _G_STEP
+        for a, b, c in _G_STEP
     ]
 
 
@@ -337,7 +319,7 @@ class _Window:
 
     @cached_property
     def dev_g(self) -> list[tuple[int, int]]:  # _dev_g_core's states, then its drop
-        states = _stepped(self.ns, _dev_g_state, _g_steps)
+        states = _stepped(self.ns, lambda n: _walk(n, _G_STEP, 8, 0, 8), _g_steps)
         drop = states[0][2] - self.m  # the byte padding's zeros
         mask, den, wide = (1 << drop) - 1, 3 << self.m, 3 << states[0][2]
         return [(g >> drop, den) if not g & mask else (g, wide) for g, _, _ in states]

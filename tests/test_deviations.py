@@ -66,11 +66,6 @@ def dev_u_linear(n):
     return Fraction(triple, 3)
 
 
-def padded_h(n, k):
-    """The defining sum over the zero digits j < k of n, padded to k digits."""
-    return sum(n >> (j + 1) for j in range(k) if not (n >> j) & 1)
-
-
 def random_width(rng, bits):
     return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
 
@@ -296,46 +291,6 @@ def test_negative_arguments_rejected():
             fn(-1)
 
 
-# The 8-digit tables against 8 applications of each one-digit rule, from
-# states that pin every coefficient of the affine map a chunk stands for.
-
-
-def test_h_table_is_eight_digits_of_the_defining_sum():
-    assert len(deviations._H_STEP) == 256
-    for c, (zeros, low) in enumerate(deviations._H_STEP):
-        assert zeros == int(format(~c & 0xFF, "08b")[::-1], 2), c
-        assert low == padded_h(c, 8), c
-        for high in (0, 1, 5, 1 << 70):
-            assert padded_h((high << 8) | c, 8) == high * zeros + low, (c, high)
-
-
-def test_g_table_is_eight_steps_of_the_doubling_rules():
-    assert len(deviations._G_STEP) == 256
-    for c, (z, y, r) in enumerate(deviations._G_STEP):
-        for g0, v0, level0 in ((0, 0, 0), (0, 1, 0), (7, 3, 5), (1 << 40, 9, 33)):
-            g, v = g0, v0
-            for j in range(8):
-                bit = (c >> (7 - j)) & 1
-                g = 2 * g + (0 if bit else v)
-                v += bit << (level0 + j + 1)
-            assert g == (g0 << 8) + z * v0 + (y << level0), (c, g0, v0, level0)
-            assert v == v0 + (r << (level0 + 1)), (c, g0, v0, level0)
-
-
-def test_u_table_is_eight_steps_of_the_doubling_rule():
-    assert len(deviations._U_STEP) == 256
-    for c, (a, b) in enumerate(deviations._U_STEP):
-        for triple0, prefix0 in ((0, 0), (0, 1), (-1, 1), (11, 12345), (0, 1 << 50)):
-            triple, prefix = triple0, prefix0
-            for k in range(7, -1, -1):
-                bit = (c >> k) & 1
-                child = 2 * prefix + bit
-                triple += prefix - bit * child
-                prefix = child
-            assert triple == triple0 + a * prefix0 + b, (c, prefix0)
-            assert prefix == (prefix0 << 8) | c
-
-
 def test_recurrences_match_the_one_digit_walks_exhaustively():
     for n in range(1 << 12):
         assert dev_g(n) == dev_g_linear(n), n
@@ -517,47 +472,94 @@ def test_window_columns_are_the_scalar_cores_up_to_2_20(window):
     assert window_rows(lo, hi) == [core_row(n) for n in range(lo, hi + 1)]
 
 
-# The shared affine kernel, f(2x + e) = f(x) + alpha_e x + beta_e from f(0) = 0,
-# on one-digit rules that neither h nor 3u uses; f(0) = 0 forces beta_0 = 0.
+# The one-digit maps the chunk tables join: rule[e] = (alpha, beta, gamma) sends
+# (f, s, L) to (f 2**kf + alpha s + (beta << L), s 2**ks + (gamma << L), L + kt),
+# with shifts (kf, ks, kt) = (0, 1, 0) for h and 3u and (1, 0, 1) for g; and the
+# three shipped rules, the doubling rules of h, 3u and (g, v) scaled by 3 * 2**L.
+SHIFTS = [(0, 1, 0), (1, 0, 1)]
+SHIPPED_RULES = [
+    ("_H_STEP", ((1, 0, 0), (0, 0, 1)), (0, 1, 0)),
+    ("_U_STEP", ((1, 0, 0), (-1, -1, 1)), (0, 1, 0)),
+    ("_G_STEP", ((1, 0, 0), (0, 0, 2)), (1, 0, 1)),
+]
 coefficient = st.integers(min_value=-(1 << 40), max_value=1 << 40)
+digit_maps = st.tuples(coefficient, coefficient, coefficient)
+any_rules = st.tuples(digit_maps, digit_maps)
+# the walk starts from (0, 0, 0), which a zero digit keeps only if
+# beta_0 = gamma_0 = 0; the affine kernels also carry the prefix, gamma_e = e
+walk_rules = st.tuples(coefficient, digit_maps).map(lambda r: ((r[0], 0, 0), r[1]))
 affine_rules = st.tuples(coefficient, coefficient, coefficient).map(
-    lambda abc: ((abc[0], 0), (abc[1], abc[2]))
+    lambda abc: ((abc[0], 0, 0), (abc[1], abc[2], 1))
 )
 
 
-def affine_fold(rule, n):
-    """f(n) by the one-digit rule, one digit at a time from the top."""
-    f = x = 0
-    for digit in map(int, bin(n)[2:]):
-        alpha, beta = rule[digit]
-        f += alpha * x + beta
-        x = 2 * x + digit
-    return f
+def digit_fold(rule, shifts, digits, state=(0, 0, 0)):
+    """The state after the one-digit maps of digits, top first."""
+    kf, ks, kt = shifts
+    f, s, level = state
+    for e in digits:
+        alpha, beta, gamma = rule[e]
+        f, s = (f << kf) + alpha * s + (beta << level), (s << ks) + (gamma << level)
+        level += kt
+    return f, s, level
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(SHIPPED_RULES),
+        st.tuples(st.none(), any_rules, st.sampled_from(SHIFTS)),
+    )
+)
+@example(SHIPPED_RULES[0])
+@example(SHIPPED_RULES[1])
+@example(SHIPPED_RULES[2])
+def test_chunk_table_entries_are_eight_one_digit_maps(case):
+    # from states that pin every coefficient of the map a chunk stands for
+    name, rule, (kf, ks, kt) = case
+    if name:
+        table = getattr(deviations, name)
+    else:
+        table = deviations._chunk_table(rule, kf, ks, kt)
+    assert len(table) == 256
+    for c, (a, b, x) in enumerate(table):
+        digits = [(c >> k) & 1 for k in range(7, -1, -1)]
+        for f0, s0, l0 in ((0, 0, 0), (0, 1, 0), (7, -3, 5), (1 << 40, 9, 33)):
+            assert digit_fold(rule, (kf, ks, kt), digits, (f0, s0, l0)) == (
+                (f0 << 8 * kf) + a * s0 + (b << l0),
+                (s0 << 8 * ks) + (x << l0),
+                l0 + 8 * kt,
+            ), (c, f0, s0, l0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(affine_rules, st.randoms(use_true_random=False))
-@example(((1, 0), (0, 0)), random.Random(0))  # h
-@example(((1, 0), (-1, -1)), random.Random(0))  # 3u
-def test_affine_walk_is_the_one_digit_fold_at_every_width(rule, rng):
-    table = deviations._affine_table(rule)
-    assert deviations._affine_walk(0, table) == 0
+@given(walk_rules, st.sampled_from(SHIFTS), st.randoms(use_true_random=False))
+@example(*SHIPPED_RULES[0][1:], random.Random(0))  # h
+@example(*SHIPPED_RULES[1][1:], random.Random(0))  # 3u
+@example(*SHIPPED_RULES[2][1:], random.Random(0))  # g
+def test_walk_is_the_one_digit_fold_at_every_width(rule, shifts, rng):
+    # the walk reads whole bytes from (0, 0, 0), so the padding's leading
+    # zeros only add to L, and the fold of n's own digits starts past them
+    table, byte_shifts = deviations._chunk_table(rule, *shifts), [8 * k for k in shifts]
+    assert deviations._walk(0, table, *byte_shifts) == (0, 0, 0)
     for bits in [*range(1, 41), *range(250, 271)]:
         for n in (1 << (bits - 1), (1 << bits) - 1, random_width(rng, bits)):
-            assert deviations._affine_walk(n, table) == affine_fold(rule, n), n
+            start = (0, 0, -bits % 8 * shifts[2])
+            expected = digit_fold(rule, shifts, map(int, bin(n)[2:]), start)
+            assert deviations._walk(n, table, *byte_shifts) == expected, n
 
 
 @settings(max_examples=30, deadline=None)
 @given(affine_rules, block_windows())
 def test_affine_steps_over_a_window_are_the_walk_at_each_n(rule, window):
-    table = deviations._affine_table(rule)
+    table = deviations._chunk_table(rule, 0, 1, 0)
 
-    def walk(n):
-        return deviations._affine_walk(n, table)
+    def f(n):
+        return deviations._walk(n, table, 0, 8, 0)[0]
 
     ns = range(window[0], window[1] + 1)
     steps = deviations._affine_steps(table)
-    assert deviations._stepped(ns, walk, steps) == list(map(walk, ns))
+    assert deviations._stepped(ns, f, steps) == list(map(f, ns))
 
 
 def test_window_columns_at_zero_are_the_cores():
