@@ -19,6 +19,7 @@ from fractions import Fraction
 __all__ = [
     "DomainError",
     "ResourceLimitError",
+    "check_cap",
     "digit_limit_error",
     "dyadic_pair",
     "dyadic_third",
@@ -52,6 +53,15 @@ def digit_limit_error(what: str, remedy: str) -> ResourceLimitError:
         f"{what} has more than {str_digit_limit()} decimal digits, the limit"
         f" sys.get_int_max_str_digits() sets on int/str conversion; {remedy}"
     )
+
+
+def check_cap(what: str, value: int, module: str, name: str) -> None:
+    """Refuse value past the cap `name` of module (its owner's __name__), read
+    at this call, naming the cap but not the value: that may pass the digit limit."""
+    owner = sys.modules[module]  # __main__ under python -m, named by its spec
+    cap, where = getattr(owner, name), f"{owner.__spec__.name}.{name}"
+    if value > cap:
+        raise ResourceLimitError(f"{what} is past {name} = {cap} ({where})")
 
 
 def floor_lg(n: int) -> int:

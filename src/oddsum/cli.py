@@ -44,9 +44,10 @@ from decimal import Inexact, localcontext
 from fractions import Fraction
 from itertools import repeat
 
-from . import deviations, sums, verify
+from . import deviations, extremal, sums, verify
 from .bitcore import (
     ResourceLimitError,
+    check_cap,
     digit_limit_error,
     dyadic_pair,
     dyadic_third,
@@ -57,7 +58,7 @@ from .bitcore import (
     tilde,
 )
 from .deviations import _windows, dev_g_closed, dev_u_closed, dev_v, h_eval
-from .extremal import LAMBDA_M_CAP, _g_below_windows, argmax_g, lambda_m, theta
+from .extremal import _g_below_windows, argmax_g, lambda_m, theta
 from .sums import alpha, g_fast, u_fast, v_fast
 
 __all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
@@ -84,8 +85,8 @@ EVAL_FUNCTIONS = {
     "lambda_m": lambda_m,
 }
 
-# a json array, or scan's plain line, goes out this many items at a time
-_JSON_CHUNK = 4096
+# the most items, and about the characters, in one piece of _joined's output
+_JSON_CHUNK, _PIECE_CHARS = 4096, 1 << 16
 
 # 12 significant digits of (2/3) ln 2, the one irrational limit on offer
 _IRRATIONAL_LIMITS = {"inv1px": "0.462098120373"}
@@ -266,12 +267,14 @@ def _emit(args, columns, rows, lines, items=None) -> None:
 
 
 def _joined(items, opening: str, separator: str, closing: str, encode):
-    """opening, the encoded items joined by separator, and closing, as pieces of
-    at most _JSON_CHUNK items each, in bounded memory."""
-    items, started = iter(items), False
-    while chunk := list(itertools.islice(items, _JSON_CHUNK)):
-        yield (separator if started else opening) + encode(chunk)
+    """opening, the encoded items joined by separator, and closing, in pieces of
+    1, 2, 4, ... items, fewer where a piece would pass its character bound."""
+    items, started, size = iter(items), False, 1
+    while chunk := list(itertools.islice(items, size)):
+        text = encode(chunk)
+        yield (separator if started else opening) + text
         started = True
+        size = max(1, min(_JSON_CHUNK, 2 * size, size * _PIECE_CHARS // len(text)))
     yield closing if started else opening + closing
 
 
@@ -318,15 +321,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    # the points print in decimal, the widest being 2**(m+1) - 1; an m
-    # past LAMBDA_M_CAP is argmax_g's to refuse, without building it
-    if args.m <= LAMBDA_M_CAP:
-        _check_printable(
-            (2 << args.m) - 1,
-            "the points always print in decimal; python -X int_max_str_digits=N"
-            " or PYTHONINTMAXSTRDIGITS=N raises the limit",
-            what="the largest extremal point",
-        )
+    check_cap("m", args.m, extremal.__name__, "LAMBDA_M_CAP")
+    # the points print in decimal, the widest being 2**(m+1) - 1
+    _check_printable(
+        (2 << args.m) - 1,
+        "the points always print in decimal; python -X int_max_str_digits=N"
+        " or PYTHONINTMAXSTRDIGITS=N raises the limit",
+        what="the largest extremal point",
+    )
     report = argmax_g(args.m)
     low, high = (_render(v, args.decimal) for v in (report.min_value, report.max_value))
     record = asdict(report) | {"min_value": low, "max_value": high}
@@ -387,8 +389,8 @@ def _cmd_table(args) -> int:
             f"{count} rows of {len(names)} columns exceed {cells} cells"
             f" ({len(EVAL_FUNCTIONS)} x (oddsum.sums.DEFAULT_BRUTE_CAP + 1))"
         )
-    if "lambda_m" in names and args.stop > LAMBDA_M_CAP:
-        lambda_m(args.stop)  # raises eval's ResourceLimitError, before any row
+    if "lambda_m" in names:  # eval's refusal, before any row
+        check_cap("m", args.stop, extremal.__name__, "LAMBDA_M_CAP")
     _check_printable(args.stop, "every table row prints n in decimal")
     functions = [EVAL_FUNCTIONS[name] for name in names]
 
@@ -507,11 +509,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if exc.code in (0, None) else 2
         if args.decimal is not None and args.decimal < 1:
             raise ValueError(f"--decimal {args.decimal}: N must be at least 1")
-        if args.decimal is not None and args.decimal > DECIMAL_DIGITS_CAP:
-            raise ResourceLimitError(
-                f"--decimal {args.decimal} asks for more than {DECIMAL_DIGITS_CAP}"
-                " significant digits (oddsum.cli.DECIMAL_DIGITS_CAP)"
-            )
+        check_cap("--decimal N", args.decimal or 0, __name__, "DECIMAL_DIGITS_CAP")
         return args.handler(args)
     except BrokenPipeError:
         # the reader left: what is still buffered, and the last flush, go nowhere

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, starmap
 
 from . import deviations
-from .bitcore import DomainError, ResourceLimitError, round_pow2_over_3
+from .bitcore import DomainError, check_cap, round_pow2_over_3
 from .deviations import _dev_g_core, _dev_v_core, _windows, dev_g, dev_g_closed
 from .sums import _COLUMNS, _check_brute_cap, u_fast, v_fast
 
@@ -175,11 +175,7 @@ def lambda_m(m: int) -> Fraction:
     """
     if m < 0:
         raise DomainError("lambda_m requires m >= 0")
-    if m > LAMBDA_M_CAP:
-        raise ResourceLimitError(
-            f"lambda_m(m) has an m-bit numerator; m is capped at {LAMBDA_M_CAP}"
-            " (oddsum.extremal.LAMBDA_M_CAP)"
-        )
+    check_cap("m", m, __name__, "LAMBDA_M_CAP")
     sign = -1 if m % 2 else 1
     return Fraction(((3 * m + 1) << m) - sign, 27 << m)
 

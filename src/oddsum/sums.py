@@ -44,7 +44,7 @@ from itertools import repeat
 from typing import Iterator
 
 from . import deviations
-from .bitcore import DomainError, ResourceLimitError
+from .bitcore import DomainError, check_cap
 
 __all__ = [
     "CESARO_FUNCTIONS",
@@ -75,11 +75,7 @@ def alpha(k: int) -> int:
 
 
 def _check_brute_cap(what: str, count: int) -> None:
-    if count > DEFAULT_BRUTE_CAP:  # not printed: it may pass the int/str digit limit
-        raise ResourceLimitError(
-            f"{what} is past DEFAULT_BRUTE_CAP = {DEFAULT_BRUTE_CAP}"
-            " (oddsum.sums.DEFAULT_BRUTE_CAP)"
-        )
+    check_cap(what, count, __name__, "DEFAULT_BRUTE_CAP")
 
 
 def v_brute(n: int) -> Fraction:
@@ -281,18 +277,11 @@ def cesaro_mean(function_id: str, n: int) -> Fraction:
     if function_id == "x":
         return Fraction(u_fast(n), n * n)
     if function_id == "x2":
-        if n.bit_length() > CESARO_X2_WIDTH_CAP:
-            raise ResourceLimitError(
-                f"cesaro x2 takes one big-integer step per digit of n; n is capped at"
-                f" {CESARO_X2_WIDTH_CAP} bits (oddsum.sums.CESARO_X2_WIDTH_CAP)"
-            )
+        width = n.bit_length()
+        check_cap("the width of n in bits", width, __name__, "CESARO_X2_WIDTH_CAP")
         return Fraction(_sum_k_alpha(n), n**3)
     if function_id == "inv1px":
-        if n > CESARO_INV1PX_CAP:
-            raise ResourceLimitError(
-                "cesaro inv1px reduces the product of n denominators; n is capped"
-                f" at {CESARO_INV1PX_CAP} (oddsum.sums.CESARO_INV1PX_CAP)"
-            )
+        check_cap("n", n, __name__, "CESARO_INV1PX_CAP")
         # the 1/n prefactor cancels: (1/n) f(k/n) alpha(k)/k = 1/(2**t (n+k))
         terms = [(1, (n + k) << ((k & -k).bit_length() - 1)) for k in range(1, n + 1)]
         return _tree_sum(terms)

@@ -20,16 +20,16 @@ smallest, and times the run.
 Identity-type claims (P2C, P2D, P6B, EQL21, EQ4_IDENTITY) additionally
 run seeded random trials at big arguments (256-bit by default), which
 guards the closed-form and recurrence evaluators far beyond scan range;
-every second EQ4_IDENTITY trial is at least 260 bits wide, so that U and
-G reach the product branch of h also under a narrow --bits.  The seed is
-part of the RangeConfig, so every report is reproducible.  P2C's scan and
-its trials run one recurrence, S(x) = v(x) + S(x >> 1), from the longest
-prefix of n that the scan has summed.
+every second EQ4_IDENTITY trial is at least _H_SPLIT_BITS (91) bits
+wide, so that U and G reach the product branch of h also under a narrow
+--bits.  The seed is part of the RangeConfig, so every report is
+reproducible.  P2C's scan and its trials run one recurrence, S(x) =
+v(x) + S(x >> 1), from the longest prefix of n that the scan has summed.
 
-A RangeConfig past a cap raises ResourceLimitError when it is built,
-before any checker runs: MAX_N_CAP, MAX_M_CAP and MAX_R_CAP bound one
-field each, GRID_CELLS_CAP the (r, p) grid and TRIAL_WORK_CAP the trials
-times the square of their width.
+A RangeConfig past a cap raises bitcore.check_cap's ResourceLimitError
+when it is built, before any checker runs: MAX_N_CAP, MAX_M_CAP and
+MAX_R_CAP bound one field each, GRID_CELLS_CAP the (r, p) grid and
+TRIAL_WORK_CAP the trials times the square of their width.
 
 Verdicts are integer arithmetic.  _read gives every value as one exact
 pair (num, den): while an Evaluators field is a shipped Fraction kernel,
@@ -85,13 +85,15 @@ __all__ = [
 
 # Every other EQ4_IDENTITY trial is at least this wide, so that u(n) reads
 # h(n >> 1) through its product branch, past deviations._H_BASE_BITS digits.
-_H_SPLIT_BITS = 260
+_H_SPLIT_BITS = deviations._H_BASE_BITS + 3
 
 # At each cap the slowest checker takes 1 to 5 s and at most 60 MB on 2
 # cores, Python 3.11: P2C at max_n 2**20 (4.0 s), P10 at max_m 18 (1.7 s),
 # one trial of 16384 bits (1.0 s, nearly all in P2C; a trial costs at
 # least its width squared); L2 and COR6 take 0.8 and 1.7 s on a grid of
-# GRID_CELLS_CAP cells at max_r 64.
+# GRID_CELLS_CAP cells at max_r 64.  P2C, EQL21, EQ4_IDENTITY, P6B and P2D
+# take 3.2, 1.5, 1.3, 0.5 and 0.2 s for 32415 trials of 91 bits, and 3.2,
+# 0.9, 0.6, 0.2 and 0.1 s for 16384 of 128 bits.
 MAX_N_CAP = 1 << 20
 MAX_M_CAP = 18
 MAX_R_CAP = 64
@@ -121,17 +123,14 @@ class RangeConfig:
         cells = (self.max_r + 1) * (self.max_p + 1)
         work = self.random_big_trials * max(self.random_bits, _H_SPLIT_BITS) ** 2
         trials = f"--trials * max(--bits, {_H_SPLIT_BITS})**2"
-        for what, value, name, cap in (
-            ("--max-n", self.max_n, "MAX_N_CAP", MAX_N_CAP),
-            ("--max-m", self.max_m, "MAX_M_CAP", MAX_M_CAP),
-            ("--max-r", self.max_r, "MAX_R_CAP", MAX_R_CAP),
-            ("(--max-r + 1) * (--max-p + 1)", cells, "GRID_CELLS_CAP", GRID_CELLS_CAP),
-            (trials, work, "TRIAL_WORK_CAP", TRIAL_WORK_CAP),
+        for what, value, name in (
+            ("--max-n", self.max_n, "MAX_N_CAP"),
+            ("--max-m", self.max_m, "MAX_M_CAP"),
+            ("--max-r", self.max_r, "MAX_R_CAP"),
+            ("(--max-r + 1) * (--max-p + 1)", cells, "GRID_CELLS_CAP"),
+            (trials, work, "TRIAL_WORK_CAP"),
         ):
-            if value > cap:  # not printed: it may be past the int/str digit limit
-                raise bitcore.ResourceLimitError(
-                    f"{what} is past {name} = {cap} (oddsum.verify.{name})"
-                )
+            bitcore.check_cap(what, value, __name__, name)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddsum
-from oddsum import bitcore, cli, deviations, sums
+from oddsum import bitcore, cli, deviations, extremal, sums, verify
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
 from oddsum.deviations import dev_g_digit, dev_v, dev_v_recur
@@ -911,6 +911,84 @@ def test_cesaro_inv1px_past_its_cap_exits_3_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert str(sums.CESARO_INV1PX_CAP) in err and "CESARO_INV1PX_CAP" in err
+
+
+# one refusal of each named cap through main(): (argv, what, owner, cap name)
+CAP_REFUSALS = [
+    (("verify", "P1B", "--max-n", str(verify.MAX_N_CAP + 1)),
+     "--max-n", verify, "MAX_N_CAP"),
+    (("verify", "P10", "--max-m", str(verify.MAX_M_CAP + 1)),
+     "--max-m", verify, "MAX_M_CAP"),
+    (("verify", "L2", "--max-r", str(verify.MAX_R_CAP + 1), "--max-p", "1"),
+     "--max-r", verify, "MAX_R_CAP"),
+    (("verify", "COR6", "--max-r", "64", "--max-p", "1000", "--format", "csv"),
+     "(--max-r + 1) * (--max-p + 1)", verify, "GRID_CELLS_CAP"),
+    (("verify", "P2D", "--trials", "1", "--bits", "16385"),
+     f"--trials * max(--bits, {verify._H_SPLIT_BITS})**2", verify, "TRIAL_WORK_CAP"),
+    (("scan", "g-below", "1/4", str(sums.DEFAULT_BRUTE_CAP + 1)),
+     "the scan bound", sums, "DEFAULT_BRUTE_CAP"),
+    (("table", "g", "0", str(sums.DEFAULT_BRUTE_CAP + 1), "--format", "json"),
+     "the range to - from", sums, "DEFAULT_BRUTE_CAP"),
+    (("cesaro", "x2", "0b1" + "0" * sums.CESARO_X2_WIDTH_CAP),
+     "the width of n in bits", sums, "CESARO_X2_WIDTH_CAP"),
+    (("cesaro", "inv1px", str(sums.CESARO_INV1PX_CAP + 1)),
+     "n", sums, "CESARO_INV1PX_CAP"),
+    (("eval", "lambda_m", str(LAMBDA_M_CAP + 1)), "m", extremal, "LAMBDA_M_CAP"),
+    (("extremal", str(LAMBDA_M_CAP + 1), "--format", "csv"),
+     "m", extremal, "LAMBDA_M_CAP"),
+    (("table", "lambda_m", "1", str(LAMBDA_M_CAP + 1), "--decimal", "5"),
+     "m", extremal, "LAMBDA_M_CAP"),
+    (("eval", "v", "13", "--decimal", str(cli.DECIMAL_DIGITS_CAP + 1)),
+     "--decimal N", cli, "DECIMAL_DIGITS_CAP"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv, what, owner, name",
+    CAP_REFUSALS,
+    ids=[f"{case[3]}-{case[0][0]}" for case in CAP_REFUSALS],
+)
+def test_every_cap_refuses_in_one_shape(capsys, argv, what, owner, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    cap = getattr(owner, name)
+    assert err == f"error: {what} is past {name} = {cap} ({owner.__name__}.{name})\n"
+
+
+def test_lowered_lambda_m_cap_refuses_eval_extremal_and_table_alike(
+    capsys, monkeypatch
+):
+    # the cap is read from extremal at each call, so a table refuses before
+    # its first row and every command accepts the cap itself
+    monkeypatch.setattr(extremal, "LAMBDA_M_CAP", 100)
+    refusal = "error: m is past LAMBDA_M_CAP = 100 (oddsum.extremal.LAMBDA_M_CAP)\n"
+    for argv in (("eval", "lambda_m", "101"), ("extremal", "101"),
+                 ("table", "lambda_m", "99", "102")):  # fmt: skip
+        assert run(capsys, *argv) == (3, "", refusal)
+    assert run(capsys, "eval", "lambda_m", "100")[:2] == (0, f"{lambda_m(100)}\n")
+    assert run(capsys, "extremal", "100")[0] == 0
+    code, out, _ = run(capsys, "table", "lambda_m", "99", "100")
+    assert code == 0 and out == f"99 {lambda_m(99)}\n100 {lambda_m(100)}\n"
+
+
+@needs_digit_limit
+def test_raised_lambda_m_cap_admits_eval_extremal_and_table_alike(
+    capsys, monkeypatch
+):
+    # past the default cap, eval and table print lambda_m, and extremal goes
+    # on to its own refusal of points past the digit limit
+    monkeypatch.setattr(extremal, "LAMBDA_M_CAP", 1 << 22)
+    m = str((1 << 20) + 1)
+    # lambda_m(m) is (3m + 1)/27 less 2**-m / 27, far below 5 digits
+    value = significant(Fraction(3 * int(m) + 1, 27), 5)
+    assert run(capsys, "eval", "lambda_m", m, "--decimal", "5") == (0, f"{value}\n", "")
+    code, out, _ = run(capsys, "table", "lambda_m", m, m, "--decimal", "5")
+    assert code == 0 and out == f"{m} {value}\n"
+    code, out, err = run(capsys, "extremal", m, "--decimal", "5")
+    assert_digit_limit_exit(code, out, err, "PYTHONINTMAXSTRDIGITS")
+    assert "extremal point" in err
 
 
 def test_eval_and_table_print_lowest_terms_across_the_gcd_fallback(capsys):

@@ -1,5 +1,6 @@
-"""Fuzz the commands that print through cli._render, and scan: every input
-ends in a documented exit code, with no traceback, within a fixed time budget.
+"""Fuzz every command: each input ends in a documented exit code, with no
+traceback, within a fixed time budget, and each exit 3 is one line that
+names its cap or the int/str digit limit.
 
 Each argv runs through main() in this process under a SIGALRM budget.
 stdout is a sink that fails with BrokenPipeError past _SINK_BYTES, as a
@@ -10,7 +11,9 @@ time spent per byte written, not the length of the output asked for.
 
 import contextlib
 import io
+import math
 import os
+import re
 import signal
 import sys
 
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddsum import sums
+from oddsum import cli, sums, verify
 from oddsum.cli import DECIMAL_DIGITS_CAP, EVAL_FUNCTIONS, main
 from oddsum.extremal import LAMBDA_M_CAP
 from test_cli import spy_windows
@@ -143,6 +146,60 @@ commands = st.one_of(
 )
 argvs = st.tuples(commands, flags).map(lambda c: [*c[0], *c[1]])
 
+# verify's range flags: (flag, the largest value drawn for `all`, the largest
+# for one checker, the first value past the cap).  Accepted values stay small,
+# as one checker at a cap takes up to 4 s (P2C at MAX_N_CAP); values past it
+# are refused at once.
+_TRIALS_PAST = verify.TRIAL_WORK_CAP // verify._H_SPLIT_BITS**2 + 1
+VERIFY_RANGES = [
+    ("--max-n", 64, 4096, verify.MAX_N_CAP + 1),
+    ("--max-m", 8, 12, verify.MAX_M_CAP + 1),
+    ("--max-r", 6, 16, verify.MAX_R_CAP + 1),
+    ("--max-p", 40, 256, verify.GRID_CELLS_CAP),  # past it at any --max-r
+    ("--trials", 8, 64, _TRIALS_PAST),  # past it at any --bits but 0 trials
+    ("--bits", 128, 512, math.isqrt(verify.TRIAL_WORK_CAP) + 1),
+]
+_FAR = [1 << 64, 1 << 20000, 10**DIGIT_LIMIT]
+bad_verify_flags = st.sampled_from([
+    ("--max-n", "abc"), ("--max-n",), ("--trials", "-1"), ("--bits", "0x10"),
+    ("--seed", "x"), ("--seed", "1.5"), ("--seed", "9" * (DIGIT_LIMIT + 1)),
+    ("--max-p", "9" * (DIGIT_LIMIT + 1)), ("--max-n=",), ("--max-q", "3"),
+])  # fmt: skip
+
+
+@st.composite
+def verify_argvs(draw):
+    """verify with every range flag, at most one past its cap, some repeated."""
+    ids = ["all"] * 4 + [*verify.THEOREM_IDS, "nope", "ALL"]
+    theorem = draw(st.sampled_from(ids))
+    past = draw(st.sampled_from([None] * 3 + VERIFY_RANGES))
+    repeats = draw(st.lists(st.sampled_from(VERIFY_RANGES), max_size=2))
+    argv = ["verify", theorem]
+    for spec in VERIFY_RANGES + repeats:  # a repeated flag's last value wins
+        flag, small_all, small_one, first_past = spec
+        if spec is past and len(argv) < 2 + 2 * len(VERIFY_RANGES):
+            value = draw(st.sampled_from([first_past, first_past + 1, *_FAR]))
+        else:
+            value = draw(st.integers(0, small_all if theorem == "all" else small_one))
+        argv += [flag, numeral(value)]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-(10**30), 10**30)))]
+    argv += draw(valid_flags.map(lambda f: [flag for group in f for flag in group]))
+    if draw(st.integers(0, 4)) == 3:  # about one argv in five is malformed
+        argv += draw(st.one_of(bad_flags, bad_verify_flags))
+    return argv
+
+
+# the three shapes of every exit-3 message: a named cap, the int/str digit
+# limit, and the table's cells, derived from the row cap
+REFUSAL = re.compile(
+    r"error: (.+ is past (\w+) = \d+ \(oddsum\.\w+\.\2\)"
+    r"|.+ has more than \d+ decimal digits, the limit"
+    r" sys\.get_int_max_str_digits\(\) sets on int/str conversion; .+"
+    r"|\d+ rows of \d+ columns exceed \d+ cells"
+    r" \(\d+ x \(oddsum\.sums\.DEFAULT_BRUTE_CAP \+ 1\)\))\n"
+)
+
 
 def _overrun(signum, frame):
     raise Overrun
@@ -179,6 +236,20 @@ def test_render_commands_end_in_a_documented_exit(argv):
     # a usage error stops a command before its first line; exit 3 may not, as a
     # table cell past the digit limit can end a table part-way through
     assert code != 2 or written == 0, argv
+    assert code != 3 or REFUSAL.fullmatch(err), (argv, err)
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(verify_argvs())
+def test_verify_ends_in_a_documented_exit(argv):
+    code, err, written = run_in_budget(argv)
+    assert code in (0, 1, 2, 3, 141), argv
+    assert "Traceback" not in err, argv
+    # every refusal, as every usage error, comes before the first report
+    assert code not in (2, 3) or written == 0, argv
+    assert code != 3 or REFUSAL.fullmatch(err), (argv, err)
 
 
 @pytest.mark.parametrize("fmt", ("plain", "json", "csv"))
@@ -189,3 +260,22 @@ def test_scan_streams_a_window_at_a_time_to_a_reader_that_leaves(monkeypatch, fm
     argv = ["scan", "g-below", "100", str(sums.DEFAULT_BRUTE_CAP), "--format", fmt]
     assert run_in_budget(argv)[:2] == (141, "")
     assert built[0] == (1, 1) and len(built) < 20
+
+
+def test_wide_json_items_go_out_a_few_at_a_time():
+    # found by the fuzzer: `table v 0 4194304 --format json --decimal 1000000`
+    # rendered 4096 cells of a million digits, about 9 GB, before its first
+    # byte.  Pieces now stay near _PIECE_CHARS, and the bytes are unchanged.
+    pulled, wide = [], "7" * 20000
+
+    def items():
+        for i in range(300):
+            pulled.append(i)
+            yield wide if i else "0"
+
+    pieces = list(cli._joined(items(), "[", ", ", "]", ", ".join))
+    assert "".join(pieces) == "[" + ", ".join(["0"] + [wide] * 299) + "]"
+    assert max(map(len, pieces)) < 4 * len(wide)
+    pulled.clear()
+    next(cli._joined(items(), "[", ", ", "]", ", ".join))
+    assert pulled == [0]

@@ -540,8 +540,9 @@ def test_p2c_scan_evaluates_v_once_per_n():
 
 def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
     # u(n) reads h(n >> 1), which takes its product branch only past
-    # _H_BASE_BITS digits: at --bits 64 only the 260-bit trials reach it, and
-    # a mutant that drops the carry of the low half into the top must fail there
+    # _H_BASE_BITS digits: at --bits 64 only the _H_SPLIT_BITS-bit trials reach
+    # it, and a mutant that drops the carry of the low half into the top must
+    # fail there
     widths = []
 
     def without_carry(n):
@@ -555,7 +556,7 @@ def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
     report = check("EQ4_IDENTITY", SMOKE)
     assert report.status == "fail"
     assert report.checked_count > SMOKE.max_n
-    assert min(widths) == verify._H_SPLIT_BITS - 1 == 259
+    assert min(widths) == verify._H_SPLIT_BITS - 1 == deviations._H_BASE_BITS + 2
 
 
 # One entry of each 8-digit table, off by one where the smoke range reads
