@@ -6,7 +6,8 @@ already an unbounded natural number and ``fractions.Fraction`` keeps
 every value reduced with a positive denominator.  This module adds the
 digit reversal, the two digit involutions (complement and reflection)
 used throughout the package, the rounded thirds of powers of two, the
-canonical ``p/q`` text form, and values over 3 * 2**m in lowest terms.
+canonical ``p/q`` text form, and the reduction of a value num / (3 * 2**m),
+keyed by that denominator, to lowest terms without math.gcd.
 """
 
 from __future__ import annotations
@@ -125,25 +126,23 @@ def round_pow2_over_3(m: int) -> int:
 _FROM_COPRIME = getattr(Fraction, "_from_coprime_ints", None)
 if _FROM_COPRIME is None and "_normalize" in (Fraction.__new__.__kwdefaults__ or {}):
     _FROM_COPRIME = functools.partial(Fraction, _normalize=False)
-_GCD_BITS = 128  # below 2**128, the C gcd costs no more (about 2 us, Python 3.11)
 
 
-def dyadic_pair(num: int, m: int) -> tuple[int, int]:
-    """num / (3 * 2**m) in lowest terms as (p, q), in time linear in the width.
+def dyadic_pair(num: int, den: int) -> tuple[int, int]:
+    """num / den, den = 3 * 2**m, in lowest terms as (p, q), in linear time.
 
     It drops at most m trailing zero digits of num and one factor 3, where
-    math.gcd(num, 3 << m) would be quadratic in CPython 3.11.
+    math.gcd(num, den) would be quadratic in CPython 3.11.
     """
+    m = den.bit_length() - 2
     zeros = min((num & -num).bit_length() - 1, m) if num else m
-    num, m = num >> zeros, m - zeros
-    return (num // 3, 1 << m) if num % 3 == 0 else (num, 3 << m)
+    num, den = num >> zeros, den >> zeros
+    return (num // 3, den // 3) if num % 3 == 0 else (num, den)
 
 
-def dyadic_third(num: int, m: int) -> Fraction:
-    """num / (3 * 2**m) as a Fraction in lowest terms, reduced by dyadic_pair."""
-    if m < _GCD_BITS or _FROM_COPRIME is None:
-        return Fraction(num, 3 << m)
-    return _FROM_COPRIME(*dyadic_pair(num, m))
+def dyadic_third(num: int, den: int) -> Fraction:
+    """num / den, den = 3 * 2**m, as a Fraction in lowest terms from dyadic_pair."""
+    return (_FROM_COPRIME or Fraction)(*dyadic_pair(num, den))
 
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")

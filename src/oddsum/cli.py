@@ -212,7 +212,7 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
 def _exact(p: int, q: int) -> str:
     """p/q, q 1 or 3 * 2**e, in lowest terms as format_rational prints it."""
     if q > 1:
-        p, q = dyadic_pair(p, q.bit_length() - 2)
+        p, q = dyadic_pair(p, q)
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # str() of an int beyond the digit limit
@@ -223,7 +223,7 @@ def _cells(pairs, decimal_digits: int | None):
     """The rendered cells of (num, den) pairs, den 1 or 3 * 2**e."""
     if decimal_digits is None:
         return itertools.starmap(_exact, pairs)
-    values = (p if q == 1 else dyadic_third(p, q.bit_length() - 2) for p, q in pairs)
+    values = (p if q == 1 else dyadic_third(p, q) for p, q in pairs)
     return map(_render, values, repeat(decimal_digits))
 
 

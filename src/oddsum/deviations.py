@@ -128,11 +128,6 @@ def _walk(n: int, table: list, kf: int, ks: int, kt: int) -> tuple[int, int, int
     return f, s, level
 
 
-def _dyadic(pair: tuple[int, int]) -> Fraction:
-    """num / den for a core's (num, den), den = 3 * 2**m, in lowest terms."""
-    return dyadic_third(pair[0], pair[1].bit_length() - 2)
-
-
 def _dev_v_core(n: int) -> tuple[int, int]:
     """v(n) as (reverse(n), 3 * 2**m), unreduced; (0, 3) at n = 0."""
     if n < 0:
@@ -142,7 +137,7 @@ def _dev_v_core(n: int) -> tuple[int, int]:
 
 def dev_v(n: int) -> Fraction:
     """v(n) by the digit formula: reversed binary digits over 3 * 2**m."""
-    return _dyadic(_dev_v_core(n))
+    return dyadic_third(*_dev_v_core(n))
 
 
 # The second evaluators, dev_u_closed and the brute oracles build their own
@@ -221,7 +216,7 @@ def _dev_g_core(n: int) -> tuple[int, int]:
 
 def dev_g(n: int) -> Fraction:
     """g(n) by the doubling rules, carrying v alongside, 8 digits per step."""
-    return _dyadic(_dev_g_core(n))
+    return dyadic_third(*_dev_g_core(n))
 
 
 def _dev_g_closed_core(n: int) -> tuple[int, int]:
@@ -327,7 +322,7 @@ class _Window:
 
 def dev_g_closed(n: int) -> Fraction:
     """g(n) by the closed form n/3 - (n+1) v(n) - u(n), over 3 * 2**m."""
-    return _dyadic(_dev_g_closed_core(n))
+    return dyadic_third(*_dev_g_closed_core(n))
 
 
 def dev_g_digit(n: int) -> Fraction:

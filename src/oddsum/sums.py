@@ -25,9 +25,9 @@ deviations module:
 The fast evaluators take these envelopes over 3 * 2**m, m = floor_lg(n),
 and the deviations' integer cores, looked up in that module, where each
 digit formula lives once.  V(n) and G(n) are dyadic rationals, U(n) an
-integer, and each evaluator builds one Fraction at the end, reduced by
-bitcore.dyadic_third in time linear in the width.  Their cost is that of
-h, one product: O(M(m)) with M(m) the cost of an m-bit product.
+integer.  V and G build one Fraction from their core's (num, 3 * 2**m),
+reduced by bitcore.dyadic_third in linear time and with no math.gcd.  Their
+cost is that of h, one product: O(M(m)), M(m) the cost of an m-bit product.
 
 _CORES and _COLUMNS map each shipped kernel, found by identity, to its
 integer forms at one n and over a window of one block; verify, table and
@@ -44,7 +44,7 @@ from itertools import repeat
 from typing import Iterator
 
 from . import deviations
-from .bitcore import DomainError, check_cap
+from .bitcore import DomainError, check_cap, dyadic_third
 
 __all__ = [
     "CESARO_FUNCTIONS",
@@ -148,7 +148,7 @@ def _v_num(n: int, m: int, reverse: int) -> int:  # V(n) * 3 * 2**m, from revers
 
 def v_fast(n: int) -> Fraction:
     """V(n) = 2n/3 + v(n)."""
-    return deviations._dyadic(_v_fast_core(n))
+    return dyadic_third(*_v_fast_core(n))
 
 
 def u_fast(n: int) -> int:
@@ -176,7 +176,7 @@ def _g_num(n: int, m: int, g: int) -> int:  # G(n) * 3 * 2**m, from g(n) * 3 * 2
 
 def g_fast(n: int) -> Fraction:
     """G(n) = n(n+2)/3 - g(n)."""
-    return deviations._dyadic(_g_fast_core(n))
+    return dyadic_third(*_g_fast_core(n))
 
 
 # Each shipped kernel's integer core, keyed by the function: never a wrapper

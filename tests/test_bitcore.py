@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from oddsum import bitcore, deviations, sums
 from oddsum.bitcore import (
     DomainError,
+    dyadic_pair,
     dyadic_third,
     floor_lg,
     format_rational,
@@ -146,8 +147,9 @@ def test_parse_rational_rejects_garbage():
             parse_rational(bad)
 
 
-# m = floor_lg(n) for every width 1..600, so every width mod 8 and both sides
-# of the gcd fallback (_GCD_BITS) and of h's product branch, then 4k and 16k bits
+# m = floor_lg(n) for every width 1..600, so every width mod 8, both sides of
+# 128 bits (against a size switch in the reduction coming back) and of h's
+# product branch, then 4k and 16k bits
 DYADIC_LEVELS = [*range(600), 4095, 16383]
 
 
@@ -179,17 +181,19 @@ def _assert_lowest_terms_of(num: int, m: int, value: Fraction) -> None:
 def test_dyadic_third_is_the_reduced_fraction():
     for m in DYADIC_LEVELS:
         for num in _over_3_pow2(m, random.Random(m)):
-            _assert_lowest_terms_of(num, m, dyadic_third(num, m))
+            value = dyadic_third(num, 3 << m)
+            _assert_lowest_terms_of(num, m, value)
+            assert dyadic_pair(num, 3 << m) == (value.numerator, value.denominator)
 
 
 def test_dyadic_third_fallback_gives_the_same_values(monkeypatch):
     cases = [(num, m) for m in (0, 127, 128, 129, 255, 256, 600, 4095)
              for num in _over_3_pow2(m, random.Random(m))]  # fmt: skip
-    fast = [dyadic_third(num, m) for num, m in cases]
+    fast = [dyadic_third(num, 3 << m) for num, m in cases]
     # as on an interpreter whose Fraction has no constructor that skips the gcd
     monkeypatch.setattr(bitcore, "_FROM_COPRIME", None)
     for (num, m), value in zip(cases, fast):
-        slow = dyadic_third(num, m)
+        slow = dyadic_third(num, 3 << m)
         _assert_lowest_terms_of(num, m, slow)
         assert (slow.numerator, slow.denominator) == (
             value.numerator,
@@ -197,7 +201,7 @@ def test_dyadic_third_fallback_gives_the_same_values(monkeypatch):
         )
 
 
-def test_fast_kernels_run_no_gcd_above_the_fallback_width(monkeypatch):
+def test_fast_kernels_run_no_gcd_at_any_width(monkeypatch):
     calls = []
     gcd = math.gcd
 
@@ -209,7 +213,7 @@ def test_fast_kernels_run_no_gcd_above_the_fallback_width(monkeypatch):
     assert Fraction(1 << 200, 3 << 200) == Fraction(1, 3) and calls  # it is seen
     calls.clear()
     rng = random.Random(7)
-    for bits in (bitcore._GCD_BITS + 1, 300, 4096):  # floor_lg(n) >= _GCD_BITS
+    for bits in (*range(1, 9), 16, 64, 127, 128, 129, 300, 4096):
         n = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
         for kernel in (sums.v_fast, sums.g_fast, deviations.dev_v,
                        deviations.dev_g_closed, deviations.dev_g):  # fmt: skip
