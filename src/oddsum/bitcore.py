@@ -150,8 +150,6 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``p/q`` in lowest terms, bare ``p`` if q == 1."""
-    if type(value) is int:
-        return str(value)
     f = value if isinstance(value, Fraction) else Fraction(value)
     p, q = f.as_integer_ratio()
     return str(p) if q == 1 else f"{p}/{q}"

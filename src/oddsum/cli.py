@@ -134,27 +134,27 @@ def _to_decimal(n: int, power=None) -> Decimal:
 
 
 def _quotient(a: int, b: int, shift: int, bits: int) -> tuple[int, int]:
-    """floor(a * 10**shift / b) for a, b >= 1 and a remainder, 0 iff exact; given as
-    1 when a, b and 10**|shift| cut to `bits` bits put the quotient between two
-    bounds with one floor, the lower not an integer, else divided at full width."""
+    """floor(a * 10**shift / b) for a, b >= 1, one wider than `bits`, and a
+    remainder, 0 iff exact; given as 1 when a, b and 10**|shift| cut to `bits`
+    bits put the quotient between two bounds with one floor, the lower not an
+    integer, else divided at full width."""
     def cut(lo: int, hi: int, e: int = 0) -> tuple[int, int, int]:  # [lo, hi] * 2**e
         drop = max(hi.bit_length() - bits, 0)
         return lo >> drop, -(-hi >> drop), e + drop
 
     s, lo, hi, e = abs(shift), 1, 1, 0
-    if max(a.bit_length(), b.bit_length()) > bits:  # else exact costs no more
-        for digit in map(int, bin(s)[2:]):  # floor and ceiling chains to 5**s
-            lo, hi, e = cut(lo * lo * 5**digit, hi * hi * 5**digit, 2 * e)
-        (a_lo, a_hi, da), (b_lo, b_hi, db) = cut(a, a), cut(b, b)
-        if shift >= 0:  # 10**s = 5**s * 2**s
-            a_lo, a_hi, z = a_lo * lo, a_hi * hi, da - db + e + s
-        else:
-            b_lo, b_hi, z = b_lo * lo, b_hi * hi, da - db - e - s
-        # a_lo * 2**z / b_hi <= a * 10**shift / b <= a_hi * 2**z / b_lo
-        up, down = max(z, 0), max(-z, 0)
-        quotient, rest = divmod(a_lo << up, b_hi << down)
-        if rest and a_hi << up < (quotient + 1) * (b_lo << down):
-            return quotient, 1
+    for digit in map(int, bin(s)[2:]):  # floor and ceiling chains to 5**s
+        lo, hi, e = cut(lo * lo * 5**digit, hi * hi * 5**digit, 2 * e)
+    (a_lo, a_hi, da), (b_lo, b_hi, db) = cut(a, a), cut(b, b)
+    if shift >= 0:  # 10**s = 5**s * 2**s
+        a_lo, a_hi, z = a_lo * lo, a_hi * hi, da - db + e + s
+    else:
+        b_lo, b_hi, z = b_lo * lo, b_hi * hi, da - db - e - s
+    # a_lo * 2**z / b_hi <= a * 10**shift / b <= a_hi * 2**z / b_lo
+    up, down = max(z, 0), max(-z, 0)
+    quotient, rest = divmod(a_lo << up, b_hi << down)
+    if rest and a_hi << up < (quotient + 1) * (b_lo << down):
+        return quotient, 1
     return divmod(a * 10**s, b) if shift >= 0 else divmod(a, b * 10**s)
 
 

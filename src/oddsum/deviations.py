@@ -12,11 +12,14 @@ The doubling rules they inherit are
 
 Because the rules are affine, each deviation also has a closed form in
 two digit kernels, the digit reversal of n and the functional h below
-(m = floor_lg(n), e0 the parity of n):
+(m = floor_lg(n), h(0) = 0):
 
     v(n) = reverse(n) / (3 * 2**m)
-    u(n) = (2 * h(n >> 1) - e0*n) / 3
+    u(n) = (2 * h(n) - n) / 3
     g(n) = n/3 - (n+1)*v(n) - u(n)
+
+where 2h - n obeys 3u's doubling rule below, since h(2x + e) = h(x) + (1-e) x,
+and both vanish at n = 0.
 
 Each closed form lives once, as an integer core: _dev_v_core, _triple_u
 and _dev_g_closed_core, which dev_v, dev_u_closed and dev_g_closed wrap
@@ -188,16 +191,13 @@ def h_eval(n: int) -> int:
     return _walk(n, _H_STEP, 0, 8, 0)[0]  # the defining sum, 8 digits per step
 
 
-def _triple_u(n: int, h_half: int | None = None) -> int:
-    """3u(n) = 2h(n >> 1) - e0*n for n >= 0, taking h of the empty string as 0;
-    h_half is h(n >> 1), when the caller has it."""
-    if h_half is None:
-        h_half = h_eval(n >> 1) if n > 1 else 0
-    return 2 * h_half - (n & 1) * n
+def _triple_u(n: int) -> int:
+    """3u(n) = 2h(n) - n for n >= 0, taking h(0) as 0."""
+    return 2 * h_eval(n) - n if n else 0
 
 
 def dev_u_closed(n: int) -> Fraction:
-    """u(n) by the closed form -e0*n/3 + (2/3) h(floor(n/2))."""
+    """u(n) by the closed form (2h(n) - n) / 3."""
     if n < 0:
         raise DomainError("dev_u_closed requires n >= 0")
     return Fraction(_triple_u(n), 3)
@@ -269,10 +269,6 @@ def _affine_steps(table: list) -> Callable:  # _walk's last step, on h's or 3u's
     return lambda xs, f, m: [y + a * x + b for x, y in zip(xs, f) for a, b, _ in table]
 
 
-def _h_column(ns: range) -> list[int]:
-    return _stepped(ns, h_eval, _affine_steps(_H_STEP))
-
-
 def _g_steps(xs, states, m):  # _walk's last step, on g's state at x
     return [
         ((g << 8) + a * v + (b << level), v + (c << level), level + 8)
@@ -295,14 +291,11 @@ class _Window:
 
     @cached_property
     def h(self) -> list[int]:
-        return _h_column(self.ns)
+        return _stepped(self.ns, h_eval, _affine_steps(_H_STEP))
 
     @cached_property
-    def triple_u(self) -> list[int]:  # from h(n >> 1), 0 for n <= 1 as in _triple_u
-        lo, hi = self.ns[0], self.ns[-1]
-        h = _h_column(range(lo >> 1, (hi >> 1) + 1)) if lo > 1 else [0]
-        halves = [value for value in h for _ in (0, 1)][lo & 1 :][: len(self.ns)]
-        return list(map(_triple_u, self.ns, halves))
+    def triple_u(self) -> list[int]:  # 2h(n) - n, 0 at n = 0, as in _triple_u
+        return [2 * h - n for n, h in zip(self.ns, self.h)] if self.ns[0] else [0]
 
     @cached_property
     def g(self) -> list[int]:  # g(n) * 3 * 2**m by the closed form

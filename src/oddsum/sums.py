@@ -26,8 +26,9 @@ The fast evaluators take these envelopes over 3 * 2**m, m = floor_lg(n),
 and the deviations' integer cores, looked up in that module, where each
 digit formula lives once.  V(n) and G(n) are dyadic rationals, U(n) an
 integer.  V and G build one Fraction from their core's (num, 3 * 2**m),
-reduced by bitcore.dyadic_third in linear time and with no math.gcd.  Their
-cost is that of h, one product: O(M(m)), M(m) the cost of an m-bit product.
+reduced by bitcore.dyadic_third in linear time and with no math.gcd.  U and
+G read h at n itself, as 3u(n) = 2h(n) - n, and cost what h does, one
+product: O(M(m)), M(m) the cost of an m-bit product.
 
 _CORES and _COLUMNS map each shipped kernel, found by identity, to its
 integer forms at one n and over a window of one block; verify, table and

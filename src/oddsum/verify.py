@@ -20,7 +20,7 @@ smallest, and times the run.
 Identity-type claims (P2C, P2D, P6B, EQL21, EQ4_IDENTITY) additionally
 run seeded random trials at big arguments (256-bit by default), which
 guards the closed-form and recurrence evaluators far beyond scan range;
-every second EQ4_IDENTITY trial is at least _H_SPLIT_BITS (91) bits
+every second EQ4_IDENTITY trial is at least _H_SPLIT_BITS (90) bits
 wide, so that U and G reach the product branch of h also under a narrow
 --bits.  The seed is part of the RangeConfig, so every report is
 reproducible.  P2C's scan and its trials run one recurrence, S(x) =
@@ -84,16 +84,16 @@ __all__ = [
 
 
 # Every other EQ4_IDENTITY trial is at least this wide, so that u(n) reads
-# h(n >> 1) through its product branch, past deviations._H_BASE_BITS digits.
-_H_SPLIT_BITS = deviations._H_BASE_BITS + 3
+# h(n) through its product branch, past deviations._H_BASE_BITS digits.
+_H_SPLIT_BITS = deviations._H_BASE_BITS + 2
 
 # At each cap the slowest checker takes 1 to 5 s and at most 60 MB on 2
 # cores, Python 3.11: P2C at max_n 2**20 (4.0 s), P10 at max_m 18 (1.7 s),
 # one trial of 16384 bits (1.0 s, nearly all in P2C; a trial costs at
 # least its width squared); L2 and COR6 take 0.8 and 1.7 s on a grid of
 # GRID_CELLS_CAP cells at max_r 64.  P2C, EQL21, EQ4_IDENTITY, P6B and P2D
-# take 3.2, 1.5, 1.3, 0.5 and 0.2 s for 32415 trials of 91 bits, and 3.2,
-# 0.9, 0.6, 0.2 and 0.1 s for 16384 of 128 bits.
+# take 4.4, 1.0, 0.9, 0.4 and 0.2 s for 33140 trials of 90 bits, and 2.6,
+# 0.7, 0.6, 0.3 and 0.1 s for 16384 of 128 bits (medians of 3 runs).
 MAX_N_CAP = 1 << 20
 MAX_M_CAP = 18
 MAX_R_CAP = 64

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddsum
-from oddsum import cli, deviations, extremal, sums, verify
+from oddsum import bitcore, cli, deviations, extremal, sums, verify
 from oddsum.bitcore import parse_rational
 from oddsum.cli import main, parse_nat
 from oddsum.deviations import dev_g_digit, dev_v, dev_v_recur
@@ -248,6 +248,15 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
     not DIGIT_LIMIT, reason="this interpreter has no int/str digit limit"
 )
+
+
+def test_an_interpreter_without_a_digit_limit_refuses_nothing(capsys, monkeypatch):
+    # as on a Python 3.10 release that predates the limit
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert bitcore.str_digit_limit() == 0
+    n = 10**29 + 12345
+    code, out, err = run(capsys, "eval", "h", str(n))
+    assert code == 0 and out == f"{deviations.h_eval(n)}\n" and err == ""
 
 
 def significant(value, digits):

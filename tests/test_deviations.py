@@ -113,7 +113,15 @@ def test_dev_u_measures_u(n):
     assert dev_u(n) == Fraction(n * n + n, 3) - u_fast(n)
 
 
-@given(big)
+# n of the widths next to _H_BASE_BITS, where h(n), and so 3u(n), takes its
+# product branch
+near_base = st.integers(_H_BASE_BITS - 8, _H_BASE_BITS + 8).flatmap(
+    lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)
+)
+
+
+@given(big | near_base)
+@example(0)
 def test_dev_u_closed_form_agrees(n):
     assert dev_u_closed(n) == dev_u(n)
 
@@ -391,7 +399,7 @@ def test_window_kernel_is_the_scalar_kernels_at_each_n(window):
     assert ns == range(lo, hi + 1) and m == lo.bit_length() - 1
     assert w.reverse == [reverse_digits(n) for n in ns]
     assert w.h == [h_eval(n) for n in ns]
-    # 3u(n) = 2h(n >> 1) - e0*n, so this holds iff the window's h(n >> 1) does
+    # 3u(n) = 2h(n) - n, so this holds iff the window's h does
     assert w.triple_u == [_triple_u(n) for n in ns]
     # g against the doubling-rule walk, which reads neither reverse nor h
     assert [(num, 3 << m) for num in w.g] == [_dev_g_core(n) for n in ns]
@@ -431,13 +439,13 @@ def test_a_window_builds_each_kernel_on_first_read_and_keeps_it():
     w = _Window(5000, 6000)
     assert set(vars(w)) == {"ns", "m"}
     list(sums._COLUMNS[u_fast](w))
-    assert set(vars(w)) == {"ns", "m", "triple_u"}
+    assert set(vars(w)) == {"ns", "m", "h", "triple_u"}
     g = w.g
-    assert w.g is g and set(vars(w)) == {"ns", "m", "triple_u", "reverse", "g"}
+    assert w.g is g and set(vars(w)) == {"ns", "m", "h", "triple_u", "reverse", "g"}
 
 
 def window_rows(lo, hi):
-    """(reverse, h, 3u from h(n >> 1), dev_u's 3u, dev_g's pair) at each n of
+    """(reverse, h, 3u from h, dev_u's 3u, dev_g's pair) at each n of
     lo..hi, from the window kernels."""
     w = _Window(lo, hi)
     return list(zip(w.reverse, w.h, w.triple_u, w.dev_u, w.dev_g))

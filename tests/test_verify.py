@@ -539,7 +539,7 @@ def test_p2c_scan_evaluates_v_once_per_n():
 
 
 def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
-    # u(n) reads h(n >> 1), which takes its product branch only past
+    # u(n) reads h(n), which takes its product branch only past
     # _H_BASE_BITS digits: at --bits 64 only the _H_SPLIT_BITS-bit trials reach
     # it, and a mutant that drops the carry of the low half into the top must
     # fail there
@@ -556,12 +556,12 @@ def test_eq4_trials_reach_the_product_branch_of_h(monkeypatch):
     report = check("EQ4_IDENTITY", SMOKE)
     assert report.status == "fail"
     assert report.checked_count > SMOKE.max_n
-    assert min(widths) == verify._H_SPLIT_BITS - 1 == deviations._H_BASE_BITS + 2
+    assert min(widths) == verify._H_SPLIT_BITS == deviations._H_BASE_BITS + 2
 
 
 # One entry of each 8-digit table, off by one where the smoke range reads
-# it: the chunk 10 is all of g(10) and u(10), and h(13), which U(26) reads
-# through 3u(26) = 2h(13), is the one whole byte 13.
+# it: the chunk 10 is all of g(10) and u(10), and h(13), which U(13) reads
+# through 3u(13) = 2h(13) - 13, is the one whole byte 13.
 TABLE_FAULTS = [
     ("_G_STEP", 10, 1, "EQL21",
      "EQL21 fail checked=3 n=2 residue=2 expected=3/8 actual=289/768"),
@@ -569,7 +569,7 @@ TABLE_FAULTS = [
     ("_U_STEP", 10, 1, "EQ4_IDENTITY",
      "EQ4_IDENTITY fail checked=10 n=10 function=U expected=107/3 actual=36"),
     ("_H_STEP", 13, 1, "ORACLE_UVG",
-     "ORACLE_UVG fail checked=26 n=26 function=U expected=232 actual=231"),
+     "ORACLE_UVG fail checked=13 n=13 function=U expected=63 actual=62"),
 ]  # fmt: skip
 
 
@@ -600,7 +600,7 @@ def test_window_columns_follow_a_corrupted_table_entry_for_entry(
         ns = w.ns
         assert w.reverse == [reverse_digits(n) for n in ns]
         assert w.h == list(map(deviations.h_eval, ns))
-        assert w.triple_u == list(map(deviations._triple_u, ns))  # from h(n >> 1)
+        assert w.triple_u == list(map(deviations._triple_u, ns))  # from h
         triples = [deviations._dev_u_core(n)[0] for n in ns]
         assert w.dev_u == triples
         assert w.dev_g == list(map(deviations._dev_g_core, ns))
