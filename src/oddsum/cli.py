@@ -11,9 +11,8 @@ Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
 One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
-stream out as they are computed; table and scan read each shipped
-kernel from sums._COLUMNS over windows of up to 4096 n, and table
-renders a cell only as its row goes out.
+stream out as computed: table and scan read a sums.Kernel's column over
+windows of up to 4096 n, and table renders a cell as its row goes out.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
 is large; N beyond DECIMAL_DIGITS_CAP exits 3, and N below 1 exits 2,
@@ -57,9 +56,9 @@ from .bitcore import (
     str_digit_limit,
     tilde,
 )
-from .deviations import _windows, dev_g_closed, dev_u_closed, dev_v, h_eval
+from .deviations import _windows
 from .extremal import _g_below_windows, argmax_g, lambda_m, theta
-from .sums import alpha, g_fast, u_fast, v_fast
+from .sums import KERNELS, Kernel, alpha
 
 __all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
 
@@ -72,13 +71,13 @@ DECIMAL_DIGITS_CAP = 10**6
 
 EVAL_FUNCTIONS = {
     "alpha": alpha,
-    "V": v_fast,
-    "U": u_fast,
-    "G": g_fast,
-    "v": dev_v,
-    "u": dev_u_closed,
-    "g": dev_g_closed,
-    "h": h_eval,
+    "V": KERNELS["v_fast"],
+    "U": KERNELS["u_fast"],
+    "G": KERNELS["g_fast"],
+    "v": KERNELS["dev_v"],
+    "u": KERNELS["dev_u_closed"],
+    "g": KERNELS["dev_g_closed"],
+    "h": KERNELS["h_eval"],
     "theta": theta,
     "hat": hat,
     "tilde": tilde,
@@ -393,19 +392,17 @@ def _cmd_table(args) -> int:
         check_cap("m", args.stop, extremal.__name__, "LAMBDA_M_CAP")
     _check_printable(args.stop, "every table row prints n in decimal")
     functions = [EVAL_FUNCTIONS[name] for name in names]
+    windowed = any(isinstance(function, Kernel) for function in functions)
 
     def window(lo: int, hi: int):
         """Rows lo..hi, lo = hi = 0 or inside one block, rendered as read."""
-        ns = range(lo, hi + 1)
-        if lo and any(function in sums._COLUMNS for function in functions):
-            kernels = deviations._Window(lo, hi)  # shared by the columns
-        columns = [
-            _cells(sums._COLUMNS[function](kernels), args.decimal)
-            if lo and function in sums._COLUMNS
+        ns, kernels = range(lo, hi + 1), lo and windowed and deviations._Window(lo, hi)
+        return zip(ns, *(
+            _cells(function.column(kernels), args.decimal)
+            if kernels and isinstance(function, Kernel)
             else map(_render, map(function, ns), repeat(args.decimal))
             for function in functions
-        ]
-        return zip(ns, *columns)
+        ))  # fmt: skip
 
     rows = (row for piece in _windows(args.start, args.stop) for row in window(*piece))
     _emit(args, ["n"] + names, rows, (" ".join(map(str, row)) + "\n" for row in rows))

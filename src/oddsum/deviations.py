@@ -192,14 +192,14 @@ def h_eval(n: int) -> int:
 
 
 def _triple_u(n: int) -> int:
-    """3u(n) = 2h(n) - n for n >= 0, taking h(0) as 0."""
+    """3u(n) = 2h(n) - n for n >= 0, taking h(0) as 0: dev_u_closed's core."""
+    if n < 0:
+        raise DomainError("dev_u_closed requires n >= 0")
     return 2 * h_eval(n) - n if n else 0
 
 
 def dev_u_closed(n: int) -> Fraction:
     """u(n) by the closed form (2h(n) - n) / 3."""
-    if n < 0:
-        raise DomainError("dev_u_closed requires n >= 0")
     return Fraction(_triple_u(n), 3)
 
 

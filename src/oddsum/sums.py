@@ -23,16 +23,13 @@ deviations module:
     G(n) = n(n+2)/3 - g(n)
 
 The fast evaluators take these envelopes over 3 * 2**m, m = floor_lg(n),
-and the deviations' integer cores, looked up in that module, where each
-digit formula lives once.  V(n) and G(n) are dyadic rationals, U(n) an
-integer.  V and G build one Fraction from their core's (num, 3 * 2**m),
-reduced by bitcore.dyadic_third in linear time and with no math.gcd.  U and
-G read h at n itself, as 3u(n) = 2h(n) - n, and cost what h does, one
-product: O(M(m)), M(m) the cost of an m-bit product.
-
-_CORES and _COLUMNS map each shipped kernel, found by identity, to its
-integer forms at one n and over a window of one block; verify, table and
-scan g-below read every shipped kernel through them.
+and the deviations' integer cores, where each digit formula lives once.
+V and G build one Fraction from their core's (num, 3 * 2**m), reduced by
+bitcore.dyadic_third in linear time and with no math.gcd.  U and G read h
+at n itself, as 3u(n) = 2h(n) - n, and cost what h does, one product:
+O(M(m)), M(m) the cost of an m-bit product.  KERNELS holds each shipped
+kernel as a Kernel record, which verify, table and scan g-below read by
+its type through its core at one n and its column over a window.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
@@ -40,18 +37,22 @@ profiles f, which tend to (2/3) * integral of f over [0, 1].
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import deviations
 from .bitcore import DomainError, check_cap, dyadic_third
+from .deviations import dev_g, dev_g_closed, dev_u, dev_u_closed, dev_v, h_eval
 
 __all__ = [
     "CESARO_FUNCTIONS",
     "CESARO_INV1PX_CAP",
     "CESARO_X2_WIDTH_CAP",
     "DEFAULT_BRUTE_CAP",
+    "KERNELS",
+    "Kernel",
     "alpha",
     "cesaro_limit",
     "cesaro_mean",
@@ -180,28 +181,36 @@ def g_fast(n: int) -> Fraction:
     return dyadic_third(*_g_fast_core(n))
 
 
-# Each shipped kernel's integer core, keyed by the function: never a wrapper
-_CORES = {
-    v_fast: _v_fast_core,
-    g_fast: _g_fast_core,
-    deviations.dev_v: deviations._dev_v_core,
-    deviations.dev_u: deviations._dev_u_core,
-    deviations.dev_g: deviations._dev_g_core,
-}
+@dataclass(frozen=True, slots=True)
+class Kernel:
+    """A shipped kernel: called, its exact value; core(n), that value as an
+    unreduced (num, den); column(w), the cores over a deviations._Window w."""
 
-# Each shipped kernel's (num, den) pairs over a deviations._Window w of I_m, as
-# _read gives them: den = 3 * 2**m (dev_g's own off it), 3 for u, 1 for integers
-_COLUMNS = {
-    v_fast: lambda w: zip(map(_v_num, w.ns, repeat(w.m), w.reverse), repeat(3 << w.m)),
-    u_fast: lambda w: zip(map(_u_of, w.ns, w.triple_u), repeat(1)),
-    g_fast: lambda w: zip(map(_g_num, w.ns, repeat(w.m), w.g), repeat(3 << w.m)),
-    deviations.dev_v: lambda w: zip(w.reverse, repeat(3 << w.m)),
-    deviations.dev_u: lambda w: zip(w.dev_u, repeat(3)),
-    deviations.dev_g: lambda w: w.dev_g,
-    deviations.dev_u_closed: lambda w: zip(w.triple_u, repeat(3)),
-    deviations.dev_g_closed: lambda w: zip(w.g, repeat(3 << w.m)),
-    deviations.h_eval: lambda w: zip(w.h, repeat(1)),
-}
+    value: Callable
+    core: Callable[[int], tuple[int, int]]
+    column: Callable
+
+    def __call__(self, n: int):
+        return self.value(n)
+
+
+# The nine shipped kernels, by name; den is 3 * 2**m (dev_g's own off it), 3 or 1
+KERNELS = {kernel.value.__name__: kernel for kernel in (
+    Kernel(v_fast, _v_fast_core, lambda w: zip(
+        map(_v_num, w.ns, repeat(w.m), w.reverse), repeat(3 << w.m))),
+    Kernel(u_fast, lambda n: (u_fast(n), 1), lambda w: zip(
+        map(_u_of, w.ns, w.triple_u), repeat(1))),
+    Kernel(g_fast, _g_fast_core, lambda w: zip(
+        map(_g_num, w.ns, repeat(w.m), w.g), repeat(3 << w.m))),
+    Kernel(dev_v, deviations._dev_v_core, lambda w: zip(w.reverse, repeat(3 << w.m))),
+    Kernel(dev_u, deviations._dev_u_core, lambda w: zip(w.dev_u, repeat(3))),
+    Kernel(dev_g, deviations._dev_g_core, lambda w: w.dev_g),
+    Kernel(dev_u_closed, lambda n: (deviations._triple_u(n), 3), lambda w: zip(
+        w.triple_u, repeat(3))),
+    Kernel(dev_g_closed, deviations._dev_g_closed_core, lambda w: zip(
+        w.g, repeat(3 << w.m))),
+    Kernel(h_eval, lambda n: (h_eval(n), 1), lambda w: zip(w.h, repeat(1))),
+)}  # fmt: skip
 
 
 CESARO_FUNCTIONS = ("const1", "x", "x2", "inv1px")

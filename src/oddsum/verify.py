@@ -31,25 +31,21 @@ when it is built, before any checker runs: MAX_N_CAP, MAX_M_CAP and
 MAX_R_CAP bound one field each, GRID_CELLS_CAP the (r, p) grid and
 TRIAL_WORK_CAP the trials times the square of their width.
 
-Verdicts are integer arithmetic.  _read gives every value as one exact
-pair (num, den): while an Evaluators field is a shipped Fraction kernel,
-its integer core, found by identity in sums._CORES, with den = 3 * 2**m
-(3 for dev_u); a replaced field is called as given and read by
-as_integer_ratio.  The n-range scans read the same pairs a window of
-one block at a time, from sums._COLUMNS beside it, and
-hat(n), tilde(n) and 4n + r from mirrored or scaled windows; a replaced
-field is still called once per n, lazily.  The trials, the grids and
-ORACLE_UVG, the per-n oracle of the kernels that eval runs, read per n.
-A checker cross-multiplies these integers or brings
-them over one common denominator, widened for a value outside it.  A
-failure reports Fraction(num, den), the exact value the verdict used;
-Fractions are built only to write a report.
+Verdicts are integer arithmetic.  Every checker reads its evaluators
+from an Evaluators bundle, and _read gives each value as one exact pair
+(num, den): a sums.Kernel, as every default field is, by its integer
+core (den 3 * 2**m, 3 or 1), and any other callable by the
+as_integer_ratio of what it returns.  The n-range scans read a Kernel's
+column a window of one block at a time, hat(n), tilde(n) and 4n + r from
+mirrored or scaled windows, and call any other field once per n, lazily;
+the trials, the grids and ORACLE_UVG read per n.  A checker
+cross-multiplies these integers or brings them over one common
+denominator, widened for a value outside it, and a failure reports
+Fraction(num, den), the exact value the verdict used.
 
-All checkers read their evaluators from an Evaluators bundle rather
-than calling module functions directly.  Swapping in a corrupted
-wrapper (dataclasses.replace on the default bundle) is the
-fault-injection hook: it lets the test suite demonstrate that a checker
-actually notices wrong values.
+Swapping a corrupted wrapper into the bundle (dataclasses.replace on the
+default) is the fault-injection hook: it lets the test suite demonstrate
+that a checker notices wrong values.
 """
 
 from __future__ import annotations
@@ -60,11 +56,11 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Callable
 
 from . import bitcore, deviations, extremal, sums
-from .sums import _COLUMNS, _CORES
+from .sums import Kernel
 
 __all__ = [
     "CLAIMS",
@@ -137,13 +133,13 @@ class RangeConfig:
 class Evaluators:
     """The functions under test, bundled so tests can corrupt one of them."""
 
-    sum_v: Callable[[int], Fraction] = sums.v_fast
-    sum_u: Callable[[int], int] = sums.u_fast
-    sum_g: Callable[[int], Fraction] = sums.g_fast
-    dev_v: Callable[[int], Fraction] = deviations.dev_v
-    dev_u: Callable[[int], Fraction] = deviations.dev_u
-    dev_g: Callable[[int], Fraction] = deviations.dev_g
-    h: Callable[[int], int] = deviations.h_eval
+    sum_v: Callable[[int], Fraction] = sums.KERNELS["v_fast"]
+    sum_u: Callable[[int], int] = sums.KERNELS["u_fast"]
+    sum_g: Callable[[int], Fraction] = sums.KERNELS["g_fast"]
+    dev_v: Callable[[int], Fraction] = sums.KERNELS["dev_v"]
+    dev_u: Callable[[int], Fraction] = sums.KERNELS["dev_u"]
+    dev_g: Callable[[int], Fraction] = sums.KERNELS["dev_g"]
+    h: Callable[[int], int] = sums.KERNELS["h_eval"]
 
 
 @dataclass(frozen=True)
@@ -218,20 +214,18 @@ def _random_args(config: RangeConfig, theorem: str, wide_bits: int = 0) -> list[
 
 
 def _read(field: Callable, n: int) -> tuple[int, int]:
-    """field(n) as (num, den): a shipped kernel's core, or the returned
-    value's as_integer_ratio()."""
-    core = _CORES.get(field)
-    return field(n).as_integer_ratio() if core is None else core(n)
+    """field(n) as (num, den): a Kernel's core, or the returned value's
+    as_integer_ratio()."""
+    return field.core(n) if isinstance(field, Kernel) else field(n).as_integer_ratio()
 
 
 def _column(field: Callable, ns: range, windowed: bool):
     """field(n) for n in ns, step 1 or -1, as _read's pairs, lazily: windowed,
-    a shipped field's _COLUMNS over deviations._windows, else _read per n."""
-    column = _COLUMNS.get(field) if windowed else None
-    if column is None:
+    a Kernel's column over deviations._windows, else _read per n."""
+    if not (windowed and isinstance(field, Kernel)):
         return map(_read, repeat(field), ns)
     pieces = deviations._windows(min(ns[0], ns[-1]), max(ns[0], ns[-1]))
-    pairs = chain.from_iterable(column(deviations._Window(*piece)) for piece in pieces)
+    pairs = chain.from_iterable(map(field.column, starmap(deviations._Window, pieces)))
     return pairs if ns.step > 0 else reversed(list(pairs))
 
 

@@ -787,7 +787,7 @@ def test_brute_bound_past_the_digit_limit_exits_3(capsys, command, fmt):
 def test_json_array_spans_chunks(capsys):
     rows = 9000  # a table's json array goes out 4096 rows at a time
     code, out, _ = run(capsys, "table", "g", "1", str(rows), "--format", "json")
-    expected = [{"n": n, "g": cli.format_rational(cli.dev_g_closed(n))}
+    expected = [{"n": n, "g": cli.format_rational(deviations.dev_g_closed(n))}
                 for n in range(1, rows + 1)]  # fmt: skip
     assert code == 0 and out == json.dumps(expected) + "\n"
 
@@ -820,7 +820,7 @@ def test_table_json_streams_in_bounded_memory(tmp_path):
         )  # fmt: skip
     code, peak_kib = map(int, done.stderr.split())
     assert code == 0 and peak_kib < 40 * 1024
-    last = cli.format_rational(cli.dev_g_closed(rows))
+    last = cli.format_rational(deviations.dev_g_closed(rows))
     text = path.read_text()
     assert text.startswith('[{"n": 1, "g": "0"}, {"n": 2, "g": "1/6"}, ')
     assert text.endswith(f'}}, {{"n": {rows}, "g": "{last}"}}]\n')

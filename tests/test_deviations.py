@@ -419,26 +419,26 @@ WINDOWED_EVAL = {cli.EVAL_FUNCTIONS[name] for name in "VUGvugh"}
 @example((5, 7))
 @example(((1 << 14) - 4096, (1 << 14) - 1))
 def test_every_column_is_its_core_or_its_kernel_at_each_n(window):
-    assert set(sums._COLUMNS) == SHIPPED | WINDOWED_EVAL
-    assert len(sums._COLUMNS) == 9 and set(sums._CORES) < SHIPPED
+    assert set(sums.KERNELS.values()) == SHIPPED | WINDOWED_EVAL
+    assert len(sums.KERNELS) == 9
+    assert all(isinstance(kernel, sums.Kernel) for kernel in SHIPPED | WINDOWED_EVAL)
     lo, hi = window
     w = _Window(lo, hi)
-    for kernel, column in sums._COLUMNS.items():
-        pairs = list(column(w))
-        core = sums._CORES.get(kernel)
-        if core is not None:
-            assert pairs == list(map(core, w.ns)), kernel.__name__
-        else:  # den 1 for an integer, 3 for u and 3 * 2**m for g
-            den = {dev_u_closed: 3, dev_g_closed: 3 << w.m}.get(kernel, 1)
-            assert pairs == [(p, den) for p, _ in pairs], kernel.__name__
-            values = [Fraction(p, q) for p, q in pairs]
-            assert values == list(map(kernel, w.ns)), kernel.__name__
+    for name, kernel in sums.KERNELS.items():
+        pairs = list(kernel.column(w))
+        assert pairs == list(map(kernel.core, w.ns)), name
+        # den 1 for an integer, 3 for u and 3 * 2**m for the rest
+        dens = {"u_fast": 1, "h_eval": 1, "dev_u": 3, "dev_u_closed": 3}
+        den = dens.get(name, 3 << w.m)
+        assert pairs == [(p, den) for p, _ in pairs], name
+        values = [Fraction(p, q) for p, q in pairs]
+        assert values == list(map(kernel, w.ns)) == list(map(kernel.value, w.ns)), name
 
 
 def test_a_window_builds_each_kernel_on_first_read_and_keeps_it():
     w = _Window(5000, 6000)
     assert set(vars(w)) == {"ns", "m"}
-    list(sums._COLUMNS[u_fast](w))
+    list(sums.KERNELS["u_fast"].column(w))
     assert set(vars(w)) == {"ns", "m", "h", "triple_u"}
     g = w.g
     assert w.g is g and set(vars(w)) == {"ns", "m", "h", "triple_u", "reverse", "g"}
@@ -575,8 +575,9 @@ def test_window_columns_at_zero_are_the_cores():
     assert w.reverse == [deviations._dev_v_core(0)[0]] == [0]
     assert w.dev_u == [_dev_u_core(0)[0]] == [0]
     assert w.dev_g == [_dev_g_core(0)] == [(0, 3)]
-    for kernel in (dev_v, dev_u, dev_g):  # what EQL21 reads at n = 0
-        assert list(sums._COLUMNS[kernel](w)) == [sums._CORES[kernel](0)]
+    for name in ("dev_v", "dev_u", "dev_g"):  # what EQL21 reads at n = 0
+        kernel = sums.KERNELS[name]
+        assert list(kernel.column(w)) == [kernel.core(0)]
 
 
 def test_windows_split_at_powers_of_two_and_at_4096_rows():

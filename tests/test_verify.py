@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddsum import deviations, extremal, verify
+from oddsum import deviations, extremal, sums, verify
 from oddsum.bitcore import DomainError, reverse_digits
 from oddsum.cli import main
 from oddsum.deviations import dev_g, dev_u, dev_v
@@ -687,11 +687,20 @@ def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
     )
     assert calls == [1, 2, 3, 4, 5]  # once per n, lazily, up to the failure
     assert verify._read(corrupted, 5) == (7, 6)
+    # a plain function carrying a record's core and column, as wraps leaves
+    # them when it copies an instance __dict__, is still read per n
+    record, calls[:] = Evaluators().dev_g, []
+    corrupted.core, corrupted.column = record.core, record.column
+    ev = dataclasses.replace(Evaluators(), dev_g=corrupted)
+    assert check("P5C", SMOKE, ev).line() == (
+        "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"
+    )
+    assert calls == [1, 2, 3, 4, 5]
     # the shipped kernels are read through their integer cores, whose pairs
     # are unreduced, and a wrapper by the ratio of what it returns
     default = Evaluators()
-    for name in ("sum_v", "sum_g", "dev_v", "dev_u", "dev_g"):
-        assert getattr(default, name) in verify._CORES
+    for name in ("sum_v", "sum_u", "sum_g", "dev_v", "dev_u", "dev_g", "h"):
+        assert isinstance(getattr(default, name), sums.Kernel)
     assert dev_v(6) == Fraction(1, 4)
-    assert verify._read(dev_v, 6) == (3, 12)
+    assert verify._read(default.dev_v, 6) == (3, 12)
     assert verify._read(lambda n: dev_v(n), 6) == (1, 4)
