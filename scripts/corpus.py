@@ -15,7 +15,7 @@ CPython's default, for the run, so the digests depend only on the code.
                                                from git revision REV's (default HEAD)
 
 The check exits 1 and names each group that moved.  The package is
-imported from the src directory beside this script, or from --src DIR.
+imported from the src directory beside this script.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def _eval_group(widths, rng: random.Random) -> list[list[str]]:
         styles = [[], ["--format", "csv"], ["--decimal", "25", "--format", "json"]]
         if width > 3 * DIGIT_LIMIT:
             styles.append(["--decimal", "25"])
-        argvs += [["eval", f, _numeral(n), *s] for n in ns for f in EVAL for s in styles]
+        argvs += [["eval", f, _numeral(n), *style]
+                  for n in ns for f in EVAL for style in styles]  # fmt: skip
     return argvs
 
 
@@ -99,10 +100,8 @@ def groups() -> dict[str, list[list[str]]]:
         ["verify", "all", *SMALL_VERIFY, "--format", "csv", "--seed", "7"],
         ["verify", "P2C", "--max-n", "100", "--trials", "2", "--bits", "300"],
     ]
-    found["extremal"] = [
-        ["extremal", str(m), *style] for m in range(17)
-        for style in ([], ["--format", "json"], ["--format", "csv"], ["--decimal", "25"])
-    ]  # fmt: skip
+    styles = ([], ["--format", "json"], ["--format", "csv"], ["--decimal", "25"])
+    found["extremal"] = [["extremal", str(m), *st] for m in range(17) for st in styles]
     found["cesaro"] = [
         ["cesaro", f, str(n), *style]
         for f in ("const1", "x", "x2", "inv1px") for n in (1, 2, 3, 100, 1000)
@@ -160,7 +159,8 @@ def _outcome(main, argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
     return json.dumps([argv, code, out.getvalue(), errors]).encode() + b"\n"
 
 
@@ -176,22 +176,24 @@ def _fixed_digit_limit():
             sys.set_int_max_str_digits(previous)
 
 
-def digests(names=None, per_argv: bool = False) -> dict:
-    """{group: SHA-256 hex} of the named groups (default all); per_argv, instead
-    {group: [(argv, SHA-256 hex of its record)]}."""
+def outcomes(argvs: list[list[str]]) -> list[bytes]:
+    """Each argv's record, run under the fixed digit limit."""
     from oddsum.cli import main
 
-    found = {}
     with _fixed_digit_limit():
-        for name, argvs in groups().items():
-            if names is not None and name not in names:
-                continue
-            records = [_outcome(main, argv) for argv in argvs]
-            if per_argv:
-                found[name] = [(a, hashlib.sha256(r).hexdigest()) for a, r in zip(argvs, records)]
-            else:
-                found[name] = hashlib.sha256(b"".join(records)).hexdigest()
-    return found
+        return [_outcome(main, argv) for argv in argvs]
+
+
+def digests() -> dict[str, str]:
+    """{group: SHA-256 hex over its argvs' records}, in the order of groups()."""
+    return {
+        name: hashlib.sha256(b"".join(outcomes(argvs))).hexdigest()
+        for name, argvs in groups().items()
+    }
+
+
+def _argv_digests(argvs: list[list[str]]) -> list[str]:
+    return [hashlib.sha256(record).hexdigest() for record in outcomes(argvs)]
 
 
 def read_digests(path: str = DIGESTS) -> dict[str, str]:
@@ -202,7 +204,8 @@ def read_digests(path: str = DIGESTS) -> dict[str, str]:
 def mismatches(path: str = DIGESTS) -> list[str]:
     """The groups whose digest is not the recorded one, or that are new or gone."""
     recorded, current = read_digests(path), digests()
-    return sorted(g for g in recorded.keys() | current.keys() if recorded.get(g) != current.get(g))
+    moved = recorded.keys() | current.keys()
+    return sorted(group for group in moved if recorded.get(group) != current.get(group))
 
 
 def _short(argv: list[str]) -> str:
@@ -210,47 +213,49 @@ def _short(argv: list[str]) -> str:
 
 
 def _base_digests(group: str, revision: str) -> list[str]:
-    """The per-argv digests of group under the package at git revision."""
+    """The per-argv digests of group with the package at git revision."""
+    root = os.path.dirname(HERE)
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(
-            ["git", "-C", os.path.dirname(HERE), "archive", "--format=zip", revision, "src"],
+            ["git", "-C", root, "archive", "--format=zip", revision, "src"],
             check=True, capture_output=True,
-        ).stdout
+        ).stdout  # fmt: skip
         zipfile.ZipFile(io.BytesIO(archive)).extractall(tmp)
-        command = [sys.executable, os.path.abspath(__file__), "--src",
-                   os.path.join(tmp, "src"), "--dump", group]  # fmt: skip
-        text = subprocess.run(command, check=True, capture_output=True, text=True).stdout
-    return text.split()
+        src = os.path.join(tmp, "src")
+        command = [sys.executable, os.path.abspath(__file__), "--dump", group, src]
+        run = subprocess.run(command, check=True, capture_output=True, text=True)
+    return run.stdout.split()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="record this tree's digests")
-    parser.add_argument("--show", metavar="GROUP", help="list the argvs of GROUP that changed")
-    parser.add_argument("--base", default="HEAD", help="the git revision --show compares with")
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
-    parser.add_argument("--dump", metavar="GROUP", help=argparse.SUPPRESS)
+    parser.add_argument("--write", action="store_true", help="record the digests")
+    parser.add_argument("--show", metavar="GROUP", help="list GROUP's changed argvs")
+    parser.add_argument("--base", default="HEAD", help="the revision --show reads")
+    # the per-argv digests of GROUP with the package imported from SRC
+    parser.add_argument("--dump", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = args.dump[1] if args.dump else os.path.join(os.path.dirname(HERE), "src")
+    sys.path.insert(0, os.path.abspath(src))
     if args.dump:
-        print(*(digest for _, digest in digests({args.dump}, True)[args.dump]), sep="\n")
-        return 0
-    if args.show:
+        print(*_argv_digests(groups()[args.dump[0]]), sep="\n")
+    elif args.show:
         if args.show not in groups():
             parser.error(f"unknown group {args.show!r}; groups: {', '.join(groups())}")
-        base = _base_digests(args.show, args.base)
-        for (argv, digest), before in zip(digests({args.show}, True)[args.show], base):
-            if digest != before:
+        argvs = groups()[args.show]
+        before = _base_digests(args.show, args.base)
+        for argv, digest, old in zip(argvs, _argv_digests(argvs), before):
+            if digest != old:
                 print(_short(argv))
-        return 0
-    if args.write:
+    elif args.write:
         with open(DIGESTS, "w", encoding="utf-8") as f:
             f.writelines(f"{digest}  {group}\n" for group, digest in digests().items())
-        return 0
-    moved = mismatches()
-    for group in moved:
-        print(f"corpus group {group} changed; see --show {group}", file=sys.stderr)
-    return 1 if moved else 0
+    else:
+        moved = mismatches()
+        for group in moved:
+            print(f"corpus group {group} changed; see --show {group}", file=sys.stderr)
+        return 1 if moved else 0
+    return 0
 
 
 if __name__ == "__main__":

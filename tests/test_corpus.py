@@ -16,7 +16,3 @@ def test_every_corpus_group_matches_its_recorded_digest():
     assert corpus.mismatches() == []
     # the run fixes the digit limit for itself only
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-
-
-def test_the_digest_file_names_every_group_once():
-    assert list(corpus.read_digests()) == list(corpus.groups())

@@ -65,7 +65,7 @@ def test_u_examples():
     assert u_brute(1) == 1
     assert u_brute(6) == 14
     assert u_brute(7) == 21
-    assert u_fast(0) == 0
+    assert u_fast(0) == u_brute(0) == 0  # the empty sum
     assert u_fast(1024) == 349526
 
 
@@ -122,6 +122,7 @@ def test_scan_sums_agrees_pointwise():
     rows = list(scan_sums(512))
     assert len(rows) == 512
     assert rows[0] == (1, Fraction(1), 1, Fraction(1))
+    assert list(scan_sums(1)) == rows[:1]
     for n, v, u, g in rows[37:80]:
         assert v == v_fast(n) and u == u_fast(n) and g == g_fast(n)
     n, v, u, g = rows[-1]
@@ -190,6 +191,10 @@ def test_domains():
         u_brute(-1)
     with pytest.raises(DomainError):
         u_fast(-3)
+    with pytest.raises(DomainError, match="u_fast"):
+        u_fast(-1)
+    with pytest.raises(DomainError):
+        list(scan_sums(0))
 
 
 def test_cesaro_examples():

@@ -689,8 +689,9 @@ def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
     assert verify._read(corrupted, 5) == (7, 6)
     # a plain function carrying a record's core and column, as wraps leaves
     # them when it copies an instance __dict__, is still read per n
-    record, calls[:] = Evaluators().dev_g, []
+    record = Evaluators().dev_g
     corrupted.core, corrupted.column = record.core, record.column
+    calls.clear()
     ev = dataclasses.replace(Evaluators(), dev_g=corrupted)
     assert check("P5C", SMOKE, ev).line() == (
         "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"
