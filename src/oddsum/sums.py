@@ -181,7 +181,7 @@ def g_fast(n: int) -> Fraction:
     return dyadic_third(*_g_fast_core(n))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Kernel:
     """A shipped kernel: called, its exact value; core(n), that value as an
     unreduced (num, den); column(w), the cores over a deviations._Window w."""
