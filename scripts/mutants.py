@@ -4,8 +4,11 @@ One mutant per site: + and - swap (binary, unary, augmented), so do << and
 >>, & and |; a comparison is negated (< to >=, == to !=, in to not in, ...);
 an integer constant moves by +1 or -1.  Annotations are left alone.  Each
 mutant is written to a copy of the package in a temporary directory, never
-to the source tree, and the test command runs on it, one subprocess at a
-time.  The unmutated copy runs first, untimed, and must pass; each mutant
+to the source tree.  The files the test command reads beside the package
+(tests/, scripts/ and pyproject.toml of the working directory, the root)
+are copied there once, at the start, and the command runs in that copy,
+one subprocess at a time, so that a long run checks one fixed state of the
+tests.  The unmutated copy runs first, untimed, and must pass; each mutant
 gets ten times its run time plus 5 s.  Survivors (exit 0 in time) are
 printed with their line and function, then killed/total.  From the root:
 
@@ -29,6 +32,9 @@ PAIRS = ((ast.Add, ast.Sub), (ast.UAdd, ast.USub), (ast.LShift, ast.RShift),
          (ast.BitAnd, ast.BitOr), (ast.Lt, ast.GtE), (ast.Gt, ast.LtE),
          (ast.Eq, ast.NotEq), (ast.Is, ast.IsNot), (ast.In, ast.NotIn))  # fmt: skip
 SWAPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
+
+# what the test command reads beside the package, copied from the root
+SNAPSHOT = ("tests", "scripts", "pyproject.toml")
 
 
 def code_nodes(node: ast.AST) -> list[ast.AST]:
@@ -54,11 +60,12 @@ def sites(nodes: list[ast.AST]) -> list[tuple[int, str, object]]:
     return found
 
 
-def passes(command: list[str], path: str, timeout: float | None) -> bool:
-    """Whether command exits 0 within timeout (None: unlimited), path first on PYTHONPATH."""
+def passes(command: list[str], path: str, cwd: str, timeout: float | None) -> bool:
+    """Whether command, run in cwd, exits 0 within timeout (None: unlimited),
+    path first on PYTHONPATH."""
     paths = os.pathsep.join(filter(None, [path, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=paths, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+    proc = subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
         return proc.wait(timeout) == 0
@@ -74,13 +81,21 @@ def main() -> None:
     parser.add_argument("command", nargs="+", help="the test command, after --")
     args = parser.parse_args()
     source = open(args.module, encoding="utf-8").read()
-    package = os.path.dirname(os.path.abspath(args.module))
+    package = os.path.relpath(os.path.dirname(os.path.abspath(args.module)))
+    if package.startswith(os.pardir):
+        sys.exit("run from the root, which holds the module's package")
     scopes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
     todo = sites(code_nodes(ast.parse(source)))
     killed, timeout = 0, None
     with tempfile.TemporaryDirectory() as tmp:
-        copy = os.path.join(tmp, os.path.basename(package))
-        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        ignore = shutil.ignore_patterns("__pycache__")
+        for name in filter(os.path.exists, SNAPSHOT):
+            if os.path.isdir(name):
+                shutil.copytree(name, os.path.join(tmp, name), ignore=ignore)
+            else:
+                shutil.copy2(name, tmp)
+        copy = os.path.join(tmp, package)
+        shutil.copytree(package, copy, ignore=ignore)
         target = os.path.join(copy, os.path.basename(args.module))
         for number, site in enumerate([None, *todo]):
             tree = ast.parse(source)  # the unmutated copy first: it must pass
@@ -91,7 +106,7 @@ def main() -> None:
             with open(target, "w", encoding="utf-8") as f:
                 f.write(ast.unparse(tree))
             start = time.monotonic()
-            survived = passes(args.command, tmp, timeout)
+            survived = passes(args.command, os.path.dirname(copy), tmp, timeout)
             if not site and not survived:
                 sys.exit("the test command fails on the unmutated copy")
             timeout = timeout or 10 * (time.monotonic() - start) + 5

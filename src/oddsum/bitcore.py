@@ -6,8 +6,8 @@ already an unbounded natural number and ``fractions.Fraction`` keeps
 every value reduced with a positive denominator.  This module adds the
 digit reversal, the two digit involutions (complement and reflection)
 used throughout the package, the rounded thirds of powers of two, the
-canonical ``p/q`` text form, and the reduction of a value num / (3 * 2**m),
-keyed by that denominator, to lowest terms without math.gcd.
+canonical ``p/q`` text form, and the reduction of values num / (3 * 2**m),
+one or a column at a time, to lowest terms without math.gcd.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "check_cap",
     "digit_limit_error",
     "dyadic_pair",
+    "dyadic_pairs",
     "dyadic_third",
     "floor_lg",
     "format_rational",
@@ -128,16 +129,33 @@ if _FROM_COPRIME is None and "_normalize" in (Fraction.__new__.__kwdefaults__ or
     _FROM_COPRIME = functools.partial(Fraction, _normalize=False)
 
 
-def dyadic_pair(num: int, den: int) -> tuple[int, int]:
-    """num / den, den = 3 * 2**m, in lowest terms as (p, q), in linear time.
+def dyadic_pairs(pairs) -> list[tuple[int, int]]:
+    """Each (num, den), den 1 or 3 * 2**m, in lowest terms as (p, q), in linear time.
 
-    It drops at most m trailing zero digits of num and one factor 3, where
-    math.gcd(num, den) would be quadratic in CPython 3.11.
+    A den of 1 passes through.  Otherwise num loses its trailing zero digits,
+    at most m of them (the lowest one of num | den), and then one factor 3 if
+    it has one, where math.gcd(num, den) would be quadratic in CPython 3.11.
     """
-    m = den.bit_length() - 2
-    zeros = min((num & -num).bit_length() - 1, m) if num else m
-    num, den = num >> zeros, den >> zeros
-    return (num // 3, den // 3) if num % 3 == 0 else (num, den)
+    reduced = []
+    for pair in pairs:
+        num, den = pair
+        if den > 1:
+            if num & 1 == 0:  # an odd num has no zero digit to drop
+                low = num | den
+                zeros = (low & -low).bit_length() - 1
+                num >>= zeros
+                den >>= zeros
+            if num % 3 == 0:
+                num //= 3
+                den //= 3
+            pair = num, den
+        reduced.append(pair)
+    return reduced
+
+
+def dyadic_pair(num: int, den: int) -> tuple[int, int]:
+    """num / den, den 1 or 3 * 2**m, in lowest terms as (p, q): see dyadic_pairs."""
+    return dyadic_pairs([(num, den)])[0]
 
 
 def dyadic_third(num: int, den: int) -> Fraction:

@@ -12,7 +12,9 @@ significant digits, round-half-even; exact p/q strings otherwise).
 One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
 stream out as computed: table and scan read a sums.Kernel's column over
-windows of up to 4096 n, and table renders a cell as its row goes out.
+windows of up to 4096 n, and table reduces and renders the exact cells of
+a window column 64 at a time, through bitcore.dyadic_pairs; the rows
+before a cell past the digit limit still print.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
 is large; N beyond DECIMAL_DIGITS_CAP exits 3, and N below 1 exits 2,
@@ -48,7 +50,7 @@ from .bitcore import (
     ResourceLimitError,
     check_cap,
     digit_limit_error,
-    dyadic_pair,
+    dyadic_pairs,
     dyadic_third,
     format_rational,
     hat,
@@ -86,6 +88,10 @@ EVAL_FUNCTIONS = {
 
 # the most items, and about the characters, in one piece of _joined's output
 _JSON_CHUNK, _PIECE_CHARS = 4096, 1 << 16
+
+# the exact cells of a window column reduced and rendered at a time: chunks
+# of 256 or 4096 raised the peak memory of a 2**14-row table by 1 to 5 MB
+_CHUNK = 64
 
 # 12 significant digits of (2/3) ln 2, the one irrational limit on offer
 _IRRATIONAL_LIMITS = {"inv1px": "0.462098120373"}
@@ -209,19 +215,30 @@ def _render(value: Fraction | int, decimal_digits: int | None) -> str:
 
 
 def _exact(p: int, q: int) -> str:
-    """p/q, q 1 or 3 * 2**e, in lowest terms as format_rational prints it."""
-    if q > 1:
-        p, q = dyadic_pair(p, q)
+    """p/q, given in lowest terms, as format_rational prints it."""
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # str() of an int beyond the digit limit
         raise digit_limit_error("the exact value", _EXACT_REMEDY) from None
 
 
+def _exact_chunks(pairs):
+    """Lists of the rendered cells of (num, den) pairs, den 1 or 3 * 2**e,
+    _CHUNK cells a list; a chunk with a cell past the digit limit comes
+    lazily through _exact, so that the cells before that one still print."""
+    pairs = iter(pairs)
+    while chunk := dyadic_pairs(itertools.islice(pairs, _CHUNK)):
+        try:
+            cells = [str(p) if q == 1 else f"{p}/{q}" for p, q in chunk]
+        except ValueError:  # str() of an int beyond the digit limit
+            cells = itertools.starmap(_exact, chunk)
+        yield cells
+
+
 def _cells(pairs, decimal_digits: int | None):
     """The rendered cells of (num, den) pairs, den 1 or 3 * 2**e."""
     if decimal_digits is None:
-        return itertools.starmap(_exact, pairs)
+        return itertools.chain.from_iterable(_exact_chunks(pairs))
     values = (p if q == 1 else dyadic_third(p, q) for p, q in pairs)
     return map(_render, values, repeat(decimal_digits))
 

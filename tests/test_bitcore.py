@@ -179,11 +179,20 @@ def _assert_lowest_terms_of(num: int, m: int, value: Fraction) -> None:
 
 
 def test_dyadic_third_is_the_reduced_fraction():
+    pairs = []
     for m in DYADIC_LEVELS:
         for num in _over_3_pow2(m, random.Random(m)):
             value = dyadic_third(num, 3 << m)
             _assert_lowest_terms_of(num, m, value)
             assert dyadic_pair(num, 3 << m) == (value.numerator, value.denominator)
+            pairs.append((num, 3 << m))
+    # a den of 1 passes through, among the others in one batch
+    pairs += [(num, 1) for num in (0, 1, -1, 3, -9, 6, 1 << 70, -(9 << 40), 12345)]
+    random.Random(0).shuffle(pairs)
+    reduced = bitcore.dyadic_pairs(iter(pairs))
+    assert type(reduced) is list and len(reduced) == len(pairs)
+    for (num, den), pair in zip(pairs, reduced):
+        assert pair == Fraction(num, den).as_integer_ratio() == dyadic_pair(num, den)
 
 
 def test_dyadic_third_fallback_gives_the_same_values(monkeypatch):

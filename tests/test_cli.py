@@ -1085,17 +1085,26 @@ def test_table_windows_print_what_the_per_n_calls_print(
 
 @needs_digit_limit
 @pytest.mark.parametrize("fmt", ("plain", "csv"))
+@pytest.mark.parametrize("row", (None, 1, 64, 65), ids=lambda row: f"row{row}")
 def test_table_exact_value_past_the_digit_limit_exits_3_after_the_same_rows(
-    capsys, monkeypatch, fmt
+    capsys, monkeypatch, fmt, row
 ):
     # U(n) is about n**2 / 3: its digits pass the limit a few rows in
     first = math.isqrt(3 * 10**DIGIT_LIMIT) - 3
-    argv = ("v,U", str(first), str(first + 6), "--format", fmt)
+    stop = first + 6
+    if row is not None:  # U first passes the limit at this row of the window
+        wide = next(n for n in range(first, stop + 1) if sums.u_fast(n) >= 10**DIGIT_LIMIT)
+        first, stop = wide - row + 1, wide + 70  # cells render 64 at a time
+    argv = ("v,U", str(first), str(stop), "--format", fmt)
     windowed, per_n, read = table_both_ways(capsys, monkeypatch, *argv)
     assert windowed == per_n and read
     code, out, err = windowed
     assert code == 3 and "the exact value has more than" in err
-    assert 1 <= len(out.splitlines()) - (fmt == "csv") < 7
+    if row is None:
+        assert 1 <= len(out.splitlines()) - (fmt == "csv") < 7
+    else:  # one window, from the first row: every row before U's prints
+        assert read[0] == (first, stop)
+        assert len(out.splitlines()) == row - 1 + (fmt == "csv" and row > 1)
 
 
 @needs_digit_limit
