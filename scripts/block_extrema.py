@@ -13,9 +13,11 @@ Usage: python3 scripts/block_extrema.py [--max-m 14] [--brute]
 from __future__ import annotations
 
 import argparse
+from fractions import Fraction
+from itertools import repeat
 
 from oddsum.bitcore import format_rational, round_pow2_over_3
-from oddsum.extremal import argmax_g, block_g_values, lambda_m
+from oddsum.extremal import _block_levels, argmax_g, lambda_m
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -26,7 +28,9 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    for m in range(args.max_m + 1):
+    # n = 1 grown once, level by level: its level m is g over I_m
+    levels = _block_levels(1, args.max_m) if args.brute else repeat(None)
+    for m, level in zip(range(args.max_m + 1), levels):
         report = argmax_g(m)
         points = ",".join(map(str, report.max_points))
         rounded = (1 << m) - 1 + round_pow2_over_3(m), (1 << m) - 1 + round_pow2_over_3(m + 1)
@@ -37,11 +41,10 @@ def main() -> None:
             f" min at {report.min_points[0]}{tag}"
         )
         if args.brute:
-            values = block_g_values(1, m)
-            best = max(values)
-            where = tuple(
-                (1 << m) + t for t, value in enumerate(values) if value == best
-            )
+            nums, den = level
+            top = max(nums)
+            where = tuple((1 << m) + t for t, num in enumerate(nums) if num == top)
+            best = Fraction(top, den)
             status = "ok" if (best, where) == (report.max_value, report.max_points) else "MISMATCH"
             print(f"     brute max {format_rational(best)} at {where} -> {status}")
 

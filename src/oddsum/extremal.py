@@ -109,15 +109,15 @@ def lambda_block(n: int, m: int) -> Fraction:
     return max(dev_g(base + t) for t in _peak_offsets(m))
 
 
-def _block_g_numerators(n: int, m: int) -> tuple[list[int], int]:
-    """g over the block {2**m n + t}, in offset order, as numerators over
-    one common denominator 3 * 2**(floor_lg(n) + m).
+def _block_levels(n: int, m: int):
+    """For level = 0..m, g over the block {2**level n + t}, in offset order,
+    as numerators over one common denominator 3 * 2**(floor_lg(n) + level).
 
     Grown level by level from (g(n), v(n)) with the doubling rules as
     scaled integers: at each level the scale doubles, so the even child
     2x gets 2g + v (g + v/2) and the odd child 2x+1 gets 2g (g
     unchanged), while v keeps its numerator at 2x and gains the 1/3
-    step at 2x+1.
+    step at 2x+1.  The domain and the cap are checked as level 0 is asked for.
     """
     if n <= 0:
         raise DomainError("block_g_values requires n >= 1")
@@ -127,6 +127,7 @@ def _block_g_numerators(n: int, m: int) -> tuple[list[int], int]:
     m0 = n.bit_length() - 1
     g_nums = [_dev_g_core(n)[0]]  # both over 3 * 2**m0
     v_nums = [_dev_v_core(n)[0]]
+    yield g_nums, 3 << m0
     for level in range(1, m + 1):
         size = 2 * len(g_nums)
         doubled = [g + g for g in g_nums]
@@ -134,13 +135,20 @@ def _block_g_numerators(n: int, m: int) -> tuple[list[int], int]:
         next_g[0::2] = [d + v for d, v in zip(doubled, v_nums)]
         next_g[1::2] = doubled
         g_nums = next_g
+        yield g_nums, 3 << (m0 + level)  # before v: a caller then holds one level
         if level < m:  # the last level needs no v
             third = 1 << (m0 + level)  # the 1/3 step at this scale
             next_v = [0] * size
             next_v[0::2] = v_nums
             next_v[1::2] = [v + third for v in v_nums]
             v_nums = next_v
-    return g_nums, 3 << (m0 + m)
+
+
+def _block_g_numerators(n: int, m: int) -> tuple[list[int], int]:
+    """g over the block {2**m n + t}: the last level of _block_levels(n, m)."""
+    for last in _block_levels(n, m):  # one level held at a time
+        pass
+    return last
 
 
 def block_g_values(n: int, m: int) -> list[Fraction]:

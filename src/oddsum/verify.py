@@ -32,7 +32,7 @@ MAX_R_CAP bound one field each, GRID_CELLS_CAP the (r, p) grid and
 TRIAL_WORK_CAP the trials times the square of their width.
 
 Verdicts are integer arithmetic.  Every checker reads its evaluators
-from an Evaluators bundle, and _read gives each value as one exact pair
+from an Evaluators bundle, and _reader reads each value as one exact pair
 (num, den): a sums.Kernel, as every default field is, by its integer
 core (den 3 * 2**m, 3 or 1), and any other callable by the
 as_integer_ratio of what it returns.  The n-range scans read a Kernel's
@@ -56,7 +56,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, repeat, starmap
+from itertools import chain, starmap
 from typing import Callable
 
 from . import bitcore, deviations, extremal, sums
@@ -83,13 +83,13 @@ __all__ = [
 # h(n) through its product branch, past deviations._H_BASE_BITS digits.
 _H_SPLIT_BITS = deviations._H_BASE_BITS + 2
 
-# At each cap the slowest checker takes 1 to 5 s and at most 60 MB on 2
-# cores, Python 3.11: P2C at max_n 2**20 (4.0 s), P10 at max_m 18 (1.7 s),
-# one trial of 16384 bits (1.0 s, nearly all in P2C; a trial costs at
-# least its width squared); L2 and COR6 take 0.8 and 1.7 s on a grid of
+# At each cap the slowest checker takes at most about 2 s and 60 MB on 2
+# cores, Python 3.11.7: P2C at max_n 2**20 (1.2 s), P10 at max_m 18
+# (0.8 s), one trial of 16384 bits (0.08 s in P2C; a trial costs at
+# least its width squared); L2 and COR6 take 0.5 and 0.8 s on a grid of
 # GRID_CELLS_CAP cells at max_r 64.  P2C, EQL21, EQ4_IDENTITY, P6B and P2D
-# take 4.4, 1.0, 0.9, 0.4 and 0.2 s for 33140 trials of 90 bits, and 2.6,
-# 0.7, 0.6, 0.3 and 0.1 s for 16384 of 128 bits (medians of 3 runs).
+# take 2.0, 0.8, 0.7, 0.3 and 0.15 s for 33140 trials of 90 bits, and 1.5,
+# 0.5, 0.4, 0.2 and 0.08 s for 16384 of 128 bits (medians of 3 runs).
 MAX_N_CAP = 1 << 20
 MAX_M_CAP = 18
 MAX_R_CAP = 64
@@ -213,17 +213,19 @@ def _random_args(config: RangeConfig, theorem: str, wide_bits: int = 0) -> list[
     return args
 
 
-def _read(field: Callable, n: int) -> tuple[int, int]:
-    """field(n) as (num, den): a Kernel's core, or the returned value's
+def _reader(field: Callable) -> Callable[[int], tuple[int, int]]:
+    """n -> field(n) as (num, den): a Kernel's core, or the returned value's
     as_integer_ratio()."""
-    return field.core(n) if isinstance(field, Kernel) else field(n).as_integer_ratio()
+    if isinstance(field, Kernel):
+        return field.core
+    return lambda n: field(n).as_integer_ratio()
 
 
 def _column(field: Callable, ns: range, windowed: bool):
-    """field(n) for n in ns, step 1 or -1, as _read's pairs, lazily: windowed,
-    a Kernel's column over deviations._windows, else _read per n."""
+    """field(n) for n in ns, step 1 or -1, as _reader's pairs, lazily: windowed,
+    a Kernel's column over deviations._windows, else _reader per n."""
     if not (windowed and isinstance(field, Kernel)):
-        return map(_read, repeat(field), ns)
+        return map(_reader(field), ns)
     pieces = deviations._windows(min(ns[0], ns[-1]), max(ns[0], ns[-1]))
     pairs = chain.from_iterable(map(field.column, starmap(deviations._Window, pieces)))
     return pairs if ns.step > 0 else reversed(list(pairs))
@@ -469,17 +471,19 @@ def _check_p2c(config, ev):
     3 * 2**bit_length(x) for each scanned x; the check at n holds only for
     the true, on-grid v(n), so no widened denominator reaches the memo.
     """
-    memo = [0]
+    memo, read = [0], _reader(ev.dev_v)
 
     def telescoped(ev, item):
         n, value = item  # value: v(n) read from a window, None in a trial
         k = max(n.bit_length() - len(memo).bit_length(), 0) + 1
         total, den = memo[n >> k], 3 << (n >> k).bit_length()
         for j in range(k - 1, -1, -1):
-            num, q = _read(ev.dev_v, n >> j) if j or value is None else value
-            wide = math.lcm(den << 1, q) if (den << 1) % q else den << 1
-            num *= wide // q
-            total, den = total * (wide // den) + num, wide
+            num, q = read(n >> j) if j or value is None else value
+            if q != den:  # v(x) off the grid of S(x >> 1): a replaced dev_v
+                wide = math.lcm(den, q)
+                num, total, den = num * (wide // q), total * (wide // den), wide
+            num <<= 1  # S(x) = v(x) + S(x >> 1), over twice the den
+            total, den = (total << 1) + num, den << 1
         if 3 * (num + total) != 2 * n.bit_count() * den:
             return _ce(Fraction(2 * n.bit_count(), 3), Fraction(num + total, den), n=n)
         if n == len(memo):
@@ -532,13 +536,13 @@ def _check_l2(config, ev):
 
     def gap(a: int, b: int) -> tuple[int, int]:
         """g(a) - g(b) as an unreduced numerator and denominator."""
-        (c, d), (e, f) = _read(ev.dev_g, a), _read(ev.dev_g, b)
+        (c, d), (e, f) = _reader(ev.dev_g)(a), _reader(ev.dev_g)(b)
         return c * f - e * d, d * f
 
     def identities(ev, item):
         r, p = item
         x_r, y_r, x_next = pairs[r].x, pairs[r].y, pairs[r + 1].x
-        s, t = _read(ev.dev_v, p)
+        s, t = _reader(ev.dev_v)(p)
         # g(base + offset) - g(base + y_r) = (1 + sign / 2**k) sign (1/3 - v(p)) / 3,
         # the right side over 9t * 2**k for v(p) = s/t, the left over den
         for name, base, offset, k, sign in (
@@ -571,7 +575,7 @@ def _check_cor6(config, ev):
             (odd_base + y_prev, odd_base + x_r),
             (odd_base + (1 << (2 * r)) + x_r, odd_base + y_r),
         ):
-            (a, b), (c, d) = _read(ev.dev_g, smaller), _read(ev.dev_g, larger)
+            (a, b), (c, d) = _reader(ev.dev_g)(smaller), _reader(ev.dev_g)(larger)
             if not a * d < c * b:
                 return _ce(
                     f"g({smaller}) < g({larger})",
@@ -586,8 +590,12 @@ def _check_cor6(config, ev):
 @_claim("T3")
 def _check_t3(config, ev):
     """Closed two-candidate block maximum against the literal scan."""
-    blocks = itertools.product(
-        range(1, min(config.max_n, 64) + 1), range(1, min(config.max_m, 12) + 1)
+    top = max(min(config.max_m, 12), 0)  # each n's block grows once, level by level
+    blocks = (
+        (n, m, Fraction(max(nums), den))
+        for n in range(1, min(config.max_n, 64) + 1)
+        for m, (nums, den) in enumerate(extremal._block_levels(n, top))
+        if m
     )
 
     def block_maximum(ev, item):
@@ -598,9 +606,8 @@ def _check_t3(config, ev):
             if closed != want:
                 return _ce(want, closed, m=m)
             return None
-        n, m = item
+        n, m, brute = item
         closed = extremal.lambda_block(n, m)
-        brute = extremal.lambda_block_brute(n, m)
         if closed != brute:
             return _ce(brute, closed, n=n, m=m)
 
@@ -708,7 +715,7 @@ def _check_oracle(ev, row):
     """Closed-form evaluators agree with the defining sums, term by term."""
     n, *refs = row
     for function, field, ref in zip("VUG", (ev.sum_v, ev.sum_u, ev.sum_g), refs):
-        p, q = _read(field, n)
+        p, q = _reader(field)(n)
         a, b = ref.as_integer_ratio()
         if p * b != a * q:
             return _ce(ref, Fraction(p, q), n=n, function=function)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddsum import sums
+from oddsum import extremal, sums
 from oddsum.bitcore import DomainError, ResourceLimitError, round_pow2_over_3
 from oddsum.deviations import dev_g, dev_v
 from oddsum.extremal import (
@@ -63,7 +63,8 @@ def test_lambda_block_examples():
     assert lambda_block(1, 2) == Fraction(1, 4)
     assert lambda_block(1, 3) == Fraction(3, 8)
     assert lambda_block(3, 2) == Fraction(3, 8)
-    with pytest.raises(ValueError):
+    # its own refusal, not the one skeleton(-1) would give for m = 0
+    with pytest.raises(DomainError, match="lambda_block requires m >= 1"):
         lambda_block(1, 0)
     with pytest.raises(DomainError):
         lambda_block(0, 3)
@@ -107,6 +108,15 @@ def test_block_scan_maximum_is_the_closed_form():
             assert brute == lambda_block(n, m)
 
 
+def test_block_levels_are_the_blocks_of_each_m():
+    for n in range(1, 65):
+        blocks = [extremal._block_g_numerators(n, m) for m in range(11)]
+        for m in range(11):
+            assert list(extremal._block_levels(n, m)) == blocks[: m + 1]
+            nums, den = blocks[m]
+            assert Fraction(max(nums), den) == lambda_block_brute(n, m)
+
+
 def test_block_scan_cap_and_domain(monkeypatch):
     # a block of exactly cap elements is scanned, one more level is refused
     monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 512)
@@ -127,6 +137,10 @@ def test_lambda_m_examples():
     assert lambda_m(2) == Fraction(1, 4)
     assert lambda_m(3) == Fraction(3, 8)
     assert lambda_m(4) == Fraction(23, 48)
+    # the cap is 2**20: served at it, refused one past it
+    assert lambda_m(1 << 20) > lambda_m((1 << 20) - 1)
+    with pytest.raises(ResourceLimitError):
+        lambda_m((1 << 20) + 1)
 
 
 def test_lambda_m_is_the_block_maximum():
@@ -161,6 +175,7 @@ def test_argmax_examples():
 
 
 def test_argmax_degenerate_blocks():
+    assert [argmax_g(m).m for m in range(4)] == [0, 1, 2, 3]
     report = argmax_g(0)
     assert report.degenerate
     assert report.max_points == (1,) and report.max_value == 0

@@ -491,6 +491,11 @@ EXTREMAL_FAULTS = [
     ("T3", "lambda_block",
      lambda fn: lambda n, m: fn(n, m) + ((n, m) == (1, 7)),
      "T3 fail checked=327 m=7 expected=313/384 actual=697/384"),
+    # g(5) as the seed of every block grown from n = 5: one more g(5) is
+    # one more g over each such block, so T3 stops at its first level
+    ("T3", "_dev_g_core",
+     lambda fn: lambda n: (lambda p, q: (p + q * (n == 5), q))(*fn(n)),
+     "T3 fail checked=21 n=5 m=1 expected=11/8 actual=3/8"),
     ("COR7", "lambda_m",
      lambda fn: lambda m: fn(m) + (SEVENTH if m == 3 else 0),
      "COR7 fail checked=4 m=3 expected=29/56 actual=3/8"),
@@ -519,6 +524,17 @@ def test_corrupted_extremal_function_fails_at_its_argument(
 def test_corrupted_dev_v_fails_p2c_at_its_argument(at, delta, line):
     ev = dataclasses.replace(Evaluators(), dev_v=shifted((at,), delta)(dev_v))
     assert check("P2C", SMOKE, ev).line() == line
+
+
+def test_p2c_on_grid_and_widened_reads_agree():
+    # a plain wrapper reads reduced Fractions, so each step takes the lcm
+    wrapped = dataclasses.replace(Evaluators(), dev_v=lambda n: dev_v(n))
+    wide = dataclasses.replace(SMOKE, random_big_trials=1, random_bits=2048)
+    for config in (SMOKE, wide):
+        on_grid, widened = check("P2C", config), check("P2C", config, wrapped)
+        checked = config.max_n + config.random_big_trials
+        assert on_grid.line() == widened.line() == f"P2C pass checked={checked}"
+        assert on_grid.checked_count == widened.checked_count == checked
 
 
 def test_p2c_scan_evaluates_v_once_per_n():
@@ -686,7 +702,7 @@ def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
         "P5C fail checked=5 n=5 expected=in [0, 2/3] actual=7/6"
     )
     assert calls == [1, 2, 3, 4, 5]  # once per n, lazily, up to the failure
-    assert verify._read(corrupted, 5) == (7, 6)
+    assert verify._reader(corrupted)(5) == (7, 6)
     # a plain function carrying a record's core and column, as wraps leaves
     # them when it copies an instance __dict__, is still read per n
     record = Evaluators().dev_g
@@ -703,5 +719,5 @@ def test_a_wrapper_dressed_as_the_kernel_is_called_as_given():
     for name in ("sum_v", "sum_u", "sum_g", "dev_v", "dev_u", "dev_g", "h"):
         assert isinstance(getattr(default, name), sums.Kernel)
     assert dev_v(6) == Fraction(1, 4)
-    assert verify._read(default.dev_v, 6) == (3, 12)
-    assert verify._read(lambda n: dev_v(n), 6) == (1, 4)
+    assert verify._reader(default.dev_v)(6) == (3, 12)
+    assert verify._reader(lambda n: dev_v(n))(6) == (1, 4)
