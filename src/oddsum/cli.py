@@ -13,8 +13,9 @@ One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
 stream out as computed: table and scan read a sums.Kernel's column over
 windows of up to 4096 n, and table reduces and renders the exact cells of
-a window column 64 at a time, through bitcore.dyadic_pairs; the rows
-before a cell past the digit limit still print.
+a window column 64 at a time, through bitcore.dyadic_pairs, and writes its
+plain and csv rows 64 lines to a piece, the cells joined by " " or ",";
+the rows before a cell past the digit limit still print.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
 is large; N beyond DECIMAL_DIGITS_CAP exits 3, and N below 1 exits 2,
@@ -89,8 +90,9 @@ EVAL_FUNCTIONS = {
 # the most items, and about the characters, in one piece of _joined's output
 _JSON_CHUNK, _PIECE_CHARS = 4096, 1 << 16
 
-# the exact cells of a window column reduced and rendered at a time: chunks
-# of 256 or 4096 raised the peak memory of a 2**14-row table by 1 to 5 MB
+# the exact cells of a window column reduced and rendered at a time, and the
+# most plain or csv table lines in one write: chunks of 256 or 4096 cells
+# raised the peak memory of a 2**14-row table by 1 to 5 MB
 _CHUNK = 64
 
 # 12 significant digits of (2/3) ln 2, the one irrational limit on offer
@@ -258,17 +260,28 @@ _ECHO_REMEDY = (
 _EXACT_REMEDY = "print N significant digits with --decimal N"
 
 
-def _emit(args, columns, rows, lines, items=None) -> None:
+def _emit(args, columns, rows, lines, items=None, text_rows=None) -> None:
     """Print one command's output in args.format; no other code reads it.
 
     csv: the header `columns`, then `rows`.  plain: `lines`, newlines
     included.  json: `items`, each row as an object over `columns` unless
-    given; one array for table and scan, else one object per line.  rows,
-    lines and items may be lazy views of one computation: only one is read.
+    given; one array for table and scan, else one object per line.
+    text_rows, given by table alone, stands for `rows` in csv and for
+    `lines`: rows of str cells, each written as its cells joined by "," or
+    " ", _CHUNK lines to a write.  A table cell is an integer, a p/q or a
+    Decimal string and a column a key of EVAL_FUNCTIONS, so none needs
+    csv's quotes, and the joined line is what csv.writer writes.  rows,
+    lines, items and text_rows may be lazy views of one computation: only
+    one is read.
     """
     if items is None:
         items = (dict(zip(columns, row)) for row in rows)
-    if args.format == "plain":
+    if text_rows is not None and args.format != "json":  # as csv below, the header waits
+        text = _pieces(text_rows, "," if args.format == "csv" else " ")
+        first = list(itertools.islice(text, 1))
+        header = [",".join(columns) + "\n"] if first and args.format == "csv" else []
+        sys.stdout.writelines(itertools.chain(header, first, text))
+    elif args.format == "plain":
         sys.stdout.writelines(lines)
     elif args.format == "csv":  # the header waits for the first row, if any
         rows = iter(rows)
@@ -280,6 +293,24 @@ def _emit(args, columns, rows, lines, items=None) -> None:
     else:  # the bytes of json.dumps(list(items))
         chunks = _joined(items, "[", ", ", "]\n", lambda chunk: json.dumps(chunk)[1:-1])
         sys.stdout.writelines(chunks)
+
+
+def _pieces(rows, separator: str):
+    """Rows of str cells, each joined by separator into a line, in pieces of up
+    to _CHUNK lines; the lines before a row that raises come out before the
+    error does."""
+    rows = iter(rows)
+    while True:
+        lines = []
+        try:  # list.extend keeps the lines it appended before an error
+            lines.extend(map(separator.join, itertools.islice(rows, _CHUNK)))
+        except Exception:
+            if lines:
+                yield "\n".join(lines) + "\n"
+            raise
+        if not lines:
+            return
+        yield "\n".join(lines) + "\n"
 
 
 def _joined(items, opening: str, separator: str, closing: str, encode):
@@ -411,18 +442,22 @@ def _cmd_table(args) -> int:
     functions = [EVAL_FUNCTIONS[name] for name in names]
     windowed = any(isinstance(function, Kernel) for function in functions)
 
-    def window(lo: int, hi: int):
-        """Rows lo..hi, lo = hi = 0 or inside one block, rendered as read."""
+    def window(lo: int, hi: int, label):
+        """Rows lo..hi, lo = hi = 0 or inside one block, rendered as read,
+        each led by label(n)."""
         ns, kernels = range(lo, hi + 1), lo and windowed and deviations._Window(lo, hi)
-        return zip(ns, *(
+        return zip(map(label, ns), *(
             _cells(function.column(kernels), args.decimal)
             if kernels and isinstance(function, Kernel)
             else map(_render, map(function, ns), repeat(args.decimal))
             for function in functions
         ))  # fmt: skip
 
-    rows = (row for piece in _windows(args.start, args.stop) for row in window(*piece))
-    _emit(args, ["n"] + names, rows, (" ".join(map(str, row)) + "\n" for row in rows))
+    def rows(label):
+        bounds = _windows(args.start, args.stop)
+        return itertools.chain.from_iterable(window(lo, hi, label) for lo, hi in bounds)
+
+    _emit(args, ["n"] + names, rows(int), None, text_rows=rows(str))
     return 0
 
 

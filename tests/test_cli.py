@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -804,6 +806,13 @@ print(code, peak, file=sys.stderr)
 """
 
 
+def test_table_json_cells_longer_than_a_piece_go_one_a_piece(capsys):
+    # 70,000 digits a cell pass the 2**16 characters of a piece
+    argv = ("table", "v", "1", "3", "--decimal", "70000", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and [row["n"] for row in json.loads(out)] == [1, 2, 3]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_table_json_streams_in_bounded_memory(tmp_path):
     # 262144 rows peak at 110 MB when the whole array is built before it
@@ -831,10 +840,11 @@ def test_table_json_streams_in_bounded_memory(tmp_path):
     "argv, first_line",
     [
         (("table", "g", "1", "100000"), "1 0\n"),
+        (("table", "g", "1", "100000", "--format", "csv"), "n,g\n"),
         (("verify", "all", "--max-n", "4096", "--trials", "20", "--format", "csv"),
          "theorem,status,checked,counterexample\n"),
     ],
-    ids=("table", "verify"),
+    ids=("table", "table-csv", "verify"),
 )  # fmt: skip
 def test_closed_stdout_exits_141_quietly(argv, first_line):
     # the reader takes one line and goes, as `| head -1` does
@@ -880,6 +890,17 @@ def test_table_cells_cap_follows_the_brute_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "table", names, "1", "5000000")
     assert code == 2 and out == ""
     assert "no value at 1" in err
+
+
+def test_table_cells_cap_admits_its_last_cell(capsys, monkeypatch):
+    # a row cap of 9 admits 10 rows of every function once, and no cell more
+    monkeypatch.setattr(sums, "DEFAULT_BRUTE_CAP", 9)
+    columns = len(cli.EVAL_FUNCTIONS)
+    code, out, _ = run(capsys, "table", ",".join(["g"] * columns), "1", "10")
+    assert code == 0 and len(out.splitlines()) == 10
+    code, out, err = run(capsys, "table", ",".join(["g"] * (columns + 1)), "1", "10")
+    assert (code, out) == (3, "")
+    assert f"10 rows of {columns + 1} columns exceed {10 * columns} cells" in err
 
 
 def test_table_lambda_m_past_its_cap_exits_3_at_once(capsys):
@@ -1030,6 +1051,7 @@ START_300 = (1 << 299) + 987654321
 TABLE_ARGVS = [
     ("V,U,G,v,u,g,h", "1", "70"),
     ("V,U,G,v,u,g,h", "4090", "4100"),
+    ("V,U,G,v,u,g,h", "1", "300"),  # the 64-row pieces and the blocks up to 256
     ("g,V,h,u", "8000", "16500"),  # two powers of two and a 4096-row split
     ("V,u", "0", "5"),  # V has no value at 0: the header, then exit 2
     ("u,U,v,g", "0", "9"),
@@ -1081,6 +1103,43 @@ def test_table_windows_print_what_the_per_n_calls_print(
     if argv[:2] == ("V,u", "0"):
         assert windowed[0] == 2 and "v_fast requires n >= 1" in windowed[2]
         assert windowed[1] == ""
+
+
+def reference_table(fmt, functions, start, stop, *options):
+    """(exit code, stdout) of a table in plain or csv, from one call per cell
+    of cli.EVAL_FUNCTIONS, written row by row by csv.writer or str.join."""
+    names, rows, code = functions.split(","), [], 0
+    digits = int(options[1]) if options else None  # ("--decimal", N)
+    context = Context(digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+    def cell(value):
+        if digits is None:
+            return bitcore.format_rational(value)
+        value = Fraction(value)
+        return str(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+    try:
+        for n in range(int(start), int(stop) + 1):
+            rows.append((n, *(cell(cli.EVAL_FUNCTIONS[name](n)) for name in names)))
+    except ValueError:  # a value outside a function's domain: a usage error
+        code = 2
+    if fmt == "plain":
+        return code, "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    out = io.StringIO()
+    if rows:  # the header waits for the first row
+        csv.writer(out, lineterminator="\n").writerows([("n", *names), *rows])
+    return code, out.getvalue()
+
+
+# no shipped kernel: per n only, past two 64-row pieces, and no window read
+PER_N_ARGV = ("alpha,theta,hat,tilde,lambda_m", "1", "130")
+
+
+@pytest.mark.parametrize("fmt", ("plain", "csv"))
+@pytest.mark.parametrize("argv", [*TABLE_ARGVS, PER_N_ARGV], ids=" ".join)
+def test_table_prints_what_csv_writer_and_join_print(capsys, argv, fmt):
+    code, out, _ = run(capsys, "table", *argv, "--format", fmt)
+    assert (code, out) == reference_table(fmt, *argv)
 
 
 @needs_digit_limit
