@@ -13,9 +13,10 @@ One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
 stream out as computed: table and scan read a sums.Kernel's column over
 windows of up to 4096 n, and table reduces and renders the exact cells of
-a window column 64 at a time, through bitcore.dyadic_pairs, and writes its
-plain and csv rows 64 lines to a piece, the cells joined by " " or ",";
-the rows before a cell past the digit limit still print.
+a window column 64 at a time, through bitcore.dyadic_pairs.  One writer cuts
+every table, json array and scan line into pieces of about 8 KB, with the
+table's cells joined by " " or ","; the rows before a cell past the digit
+limit still print.
 --decimal N prints what Decimal division at precision N prints, from
 operands cut to about 4N bits, or converted to Decimal by halves when N
 is large; N beyond DECIMAL_DIGITS_CAP exits 3, and N below 1 exits 2,
@@ -87,12 +88,13 @@ EVAL_FUNCTIONS = {
     "lambda_m": lambda_m,
 }
 
-# the most items, and about the characters, in one piece of _joined's output
-_JSON_CHUNK, _PIECE_CHARS = 4096, 1 << 16
+# about the most characters in one piece of _pieces' output: 2**16 raised the
+# peak memory of a 2**14-row csv table by about 2 MB, and a cap of 64 items a
+# piece slowed a dense json scan by about 10 %
+_PIECE_CHARS = 1 << 13
 
-# the exact cells of a window column reduced and rendered at a time, and the
-# most plain or csv table lines in one write: chunks of 256 or 4096 cells
-# raised the peak memory of a 2**14-row table by 1 to 5 MB
+# the exact cells of a window column reduced and rendered at a time: chunks of
+# 256 or 4096 cells raised the peak memory of a 2**14-row table by 1 to 5 MB
 _CHUNK = 64
 
 # 12 significant digits of (2/3) ln 2, the one irrational limit on offer
@@ -268,61 +270,51 @@ def _emit(args, columns, rows, lines, items=None, text_rows=None) -> None:
     given; one array for table and scan, else one object per line.
     text_rows, given by table alone, stands for `rows` in csv and for
     `lines`: rows of str cells, each written as its cells joined by "," or
-    " ", _CHUNK lines to a write.  A table cell is an integer, a p/q or a
-    Decimal string and a column a key of EVAL_FUNCTIONS, so none needs
-    csv's quotes, and the joined line is what csv.writer writes.  rows,
-    lines, items and text_rows may be lazy views of one computation: only
-    one is read.
+    " ", the csv header leading the first piece.  A table cell is an
+    integer, a p/q or a Decimal string and a column a key of
+    EVAL_FUNCTIONS, so none needs csv's quotes, and the joined line is what
+    csv.writer writes.  rows, lines, items and text_rows may be lazy views
+    of one computation: only one is read.
     """
     if items is None:
         items = (dict(zip(columns, row)) for row in rows)
-    if text_rows is not None and args.format != "json":  # as csv below, the header waits
-        text = _pieces(text_rows, "," if args.format == "csv" else " ")
-        first = list(itertools.islice(text, 1))
-        header = [",".join(columns) + "\n"] if first and args.format == "csv" else []
-        sys.stdout.writelines(itertools.chain(header, first, text))
+    if text_rows is not None and args.format != "json":
+        # each row joined as it is read, so that zip reuses its row tuple
+        lines = map(("," if args.format == "csv" else " ").join, text_rows)
+        header = ",".join(columns) + "\n" if args.format == "csv" else ""
+        sys.stdout.writelines(_pieces(lines, "\n".join, header, "\n", "\n"))
     elif args.format == "plain":
         sys.stdout.writelines(lines)
-    elif args.format == "csv":  # the header waits for the first row, if any
-        rows = iter(rows)
-        first = list(itertools.islice(rows, 1))
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(itertools.chain([columns], first, rows))
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            itertools.chain([columns], rows)
+        )
     elif args.command not in ("table", "scan"):
         sys.stdout.writelines(json.dumps(item) + "\n" for item in items)
     else:  # the bytes of json.dumps(list(items))
-        chunks = _joined(items, "[", ", ", "]\n", lambda chunk: json.dumps(chunk)[1:-1])
-        sys.stdout.writelines(chunks)
+        encode = lambda chunk: json.dumps(chunk)[1:-1]  # noqa: E731
+        sys.stdout.writelines(_pieces(items, encode, "[", ", ", "]\n"))
 
 
-def _pieces(rows, separator: str):
-    """Rows of str cells, each joined by separator into a line, in pieces of up
-    to _CHUNK lines; the lines before a row that raises come out before the
-    error does."""
-    rows = iter(rows)
-    while True:
-        lines = []
-        try:  # list.extend keeps the lines it appended before an error
-            lines.extend(map(separator.join, itertools.islice(rows, _CHUNK)))
-        except Exception:
-            if lines:
-                yield "\n".join(lines) + "\n"
-            raise
-        if not lines:
-            return
-        yield "\n".join(lines) + "\n"
-
-
-def _joined(items, opening: str, separator: str, closing: str, encode):
-    """opening, the encoded items joined by separator, and closing, in pieces of
-    1, 2, 4, ... items, fewer where a piece would pass its character bound."""
+def _pieces(items, encode, opening: str, separator: str, closing: str):
+    """opening, encode(chunk) for chunks of 1, 2, 4, ... items, fewer where a
+    piece would pass about _PIECE_CHARS characters, joined by separator, and
+    closing; the items pulled before one that raises go out before the error."""
     items, started, size = iter(items), False, 1
-    while chunk := list(itertools.islice(items, size)):
+    while True:
+        lead, chunk = separator if started else opening, []
+        try:  # list.extend keeps the items it appended before an error
+            chunk.extend(itertools.islice(items, size))
+        except Exception:
+            if chunk:
+                yield lead + encode(chunk)
+            raise
+        if not chunk:
+            yield closing if started else opening + closing
+            return
         text = encode(chunk)
-        yield (separator if started else opening) + text
-        started = True
-        size = max(1, min(_JSON_CHUNK, 2 * size, size * _PIECE_CHARS // len(text)))
-    yield closing if started else opening + closing
+        yield lead + text
+        started, size = True, max(1, min(2 * size, size * _PIECE_CHARS // len(text)))
 
 
 def _cmd_eval(args) -> int:
@@ -388,7 +380,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_scan(args) -> int:
     found = itertools.chain.from_iterable(_g_below_windows(args.threshold, args.bound))
-    line = _joined(found, "", " ", "\n", lambda chunk: " ".join(map(str, chunk)))
+    line = _pieces(map(str, found), " ".join, "", " ", "\n")
     _emit(args, ("n",), ((n,) for n in found), line, found)
     return 0
 

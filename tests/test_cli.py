@@ -32,9 +32,14 @@ def run(capsys, *argv):
 def test_parse_nat():
     assert parse_nat("10") == 10
     assert parse_nat("0b101") == 5
-    for bad in ("-3", "abc", "0x10", "", "0b", "1.5"):
+    for bad in ("-3", "-1", "abc", "0x10", "", "0b", "1.5"):
         with pytest.raises(ValueError):
             parse_nat(bad)
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: oddsum")
 
 
 def test_eval_plain(capsys):
@@ -63,6 +68,8 @@ def test_eval_decimal(capsys):
     assert code == 0 and out == "0.25\n"
     code, out, _ = run(capsys, "eval", "v", "13", "--decimal", "3")
     assert code == 0 and out == "0.458\n"
+    code, out, _ = run(capsys, "eval", "v", "5", "--decimal", "1")
+    assert code == 0 and out == "0.4\n"
 
 
 def test_eval_domain_error_exits_2(capsys):
@@ -549,6 +556,7 @@ DECIMAL_EXAMPLES = [
 @example((Fraction(-25, 10**5), 1))
 @example((Fraction(1, 4) + Fraction(1, 3 * 10**40), 1))
 @example((Fraction(1, 3), 5000))
+@example((Fraction(-1, 3 << 300), 1))  # the sign of a cut quotient of -1
 def test_decimal_str_is_the_decimal_division(case):
     value, digits = case
     assert cli._decimal_str(value, digits) == str(significant(value, digits))
@@ -574,6 +582,27 @@ def test_decimal_str_settles_quotients_both_ways(monkeypatch):
     # width, 100 bits, passes half its width), so its quotient is asked directly
     assert spy(25 * 10**40, 1, -38, 100) == (2500, 0)
     assert ways.count("cut") == 3 and ways.count("full width") == 6
+
+
+def test_decimal_str_sheds_the_trailing_zeros_of_an_exact_cut_quotient(monkeypatch):
+    # both operands pass twice the cut width, so the quotient comes from
+    # _quotient, exact, with zeros to shed toward exponent 0
+    ways = []
+    quotient = cli._quotient
+
+    def spy(a, b, shift, bits):
+        ways.append(quotient(a, b, shift, bits))
+        return ways[-1]
+
+    monkeypatch.setattr(cli, "_quotient", spy)
+    for value, digits, text in (
+        (Fraction(1234, 10**600), 10, "1.234E-597"),
+        (Fraction(3, 10**700), 30, "3E-700"),
+    ):
+        ways.clear()
+        assert cli._decimal_str(value, digits) == text
+        assert text == str(significant(value, digits))
+        assert len(ways) == 1 and ways[0][1] == 0
 
 
 def test_decimal_str_divides_as_decimals_from_half_the_operands_width(monkeypatch):
@@ -807,20 +836,16 @@ print(code, peak, file=sys.stderr)
 
 
 def test_table_json_cells_longer_than_a_piece_go_one_a_piece(capsys):
-    # 70,000 digits a cell pass the 2**16 characters of a piece
+    # 70,000 digits a cell pass the 2**13 characters of a piece
     argv = ("table", "v", "1", "3", "--decimal", "70000", "--format", "json")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and [row["n"] for row in json.loads(out)] == [1, 2, 3]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_table_json_streams_in_bounded_memory(tmp_path):
-    # 262144 rows peak at 110 MB when the whole array is built before it
-    # prints, and at 20 MB streamed (17 MB for the same table in csv)
-    rows = 1 << 18
+def peak_rss_run(path, *argv):
+    """(exit code, peak RSS in KiB) of `oddsum argv` in a fresh process, its
+    stdout written to path."""
     src = os.path.dirname(os.path.dirname(oddsum.__file__))
-    path = tmp_path / "table.json"
-    argv = ("table", "g", "1", str(rows), "--format", "json")
     with open(path, "w") as out:
         done = subprocess.run(
             [sys.executable, "-c", PEAK_RSS, *argv],
@@ -828,12 +853,38 @@ def test_table_json_streams_in_bounded_memory(tmp_path):
             env={**os.environ, "PYTHONPATH": src},
         )  # fmt: skip
     code, peak_kib = map(int, done.stderr.split())
+    return code, peak_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_table_json_streams_in_bounded_memory(tmp_path):
+    # 262144 rows peak at 110 MB when the whole array is built before it
+    # prints, and at 20 MB streamed (17 MB for the same table in csv)
+    rows = 1 << 18
+    path = tmp_path / "table.json"
+    argv = ("table", "g", "1", str(rows), "--format", "json")
+    code, peak_kib = peak_rss_run(path, *argv)
     assert code == 0 and peak_kib < 40 * 1024
     last = cli.format_rational(deviations.dev_g_closed(rows))
     text = path.read_text()
     assert text.startswith('[{"n": 1, "g": "0"}, {"n": 2, "g": "1/6"}, ')
     assert text.endswith(f'}}, {{"n": {rows}, "g": "{last}"}}]\n')
     assert text.count('{"n": ') == rows
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("fmt", ("plain", "csv"))
+def test_table_of_wide_decimal_cells_streams_in_bounded_memory(tmp_path, fmt):
+    # rows of four 300,000-digit cells peak at 72 MB when 64 of them make a
+    # piece, and at 21 MB when a piece holds about 8 KB, one row here
+    path = tmp_path / "table.txt"
+    argv = ("table", "v,g,V,G", "1", "64", "--decimal", "300000", "--format", fmt)
+    code, peak_kib = peak_rss_run(path, *argv)
+    assert code == 0 and peak_kib < 40 * 1024
+    lines = path.read_text().splitlines()
+    assert len(lines) == 64 + (fmt == "csv")
+    last = lines[-1].split("," if fmt == "csv" else " ")
+    assert last[0] == "64" and last[3] == str(significant(sums.v_fast(64), 300000))
 
 
 @pytest.mark.parametrize(
@@ -1143,7 +1194,7 @@ def test_table_prints_what_csv_writer_and_join_print(capsys, argv, fmt):
 
 
 @needs_digit_limit
-@pytest.mark.parametrize("fmt", ("plain", "csv"))
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("row", (None, 1, 64, 65), ids=lambda row: f"row{row}")
 def test_table_exact_value_past_the_digit_limit_exits_3_after_the_same_rows(
     capsys, monkeypatch, fmt, row
@@ -1159,11 +1210,16 @@ def test_table_exact_value_past_the_digit_limit_exits_3_after_the_same_rows(
     assert windowed == per_n and read
     code, out, err = windowed
     assert code == 3 and "the exact value has more than" in err
+    if fmt == "json":  # the array's items so far, without its closing bracket
+        printed = out.count('{"n": ')
+        assert not printed or out.startswith("[") and not out.endswith("]\n")
+    else:
+        printed = len(out.splitlines()) - (fmt == "csv" and out != "")
     if row is None:
-        assert 1 <= len(out.splitlines()) - (fmt == "csv") < 7
+        assert 1 <= printed < 7
     else:  # one window, from the first row: every row before U's prints
         assert read[0] == (first, stop)
-        assert len(out.splitlines()) == row - 1 + (fmt == "csv" and row > 1)
+        assert printed == row - 1
 
 
 @needs_digit_limit

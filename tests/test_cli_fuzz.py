@@ -273,9 +273,22 @@ def test_wide_json_items_go_out_a_few_at_a_time():
             pulled.append(i)
             yield wide if i else "0"
 
-    pieces = list(cli._joined(items(), "[", ", ", "]", ", ".join))
+    pieces = list(cli._pieces(items(), ", ".join, "[", ", ", "]"))
     assert "".join(pieces) == "[" + ", ".join(["0"] + [wide] * 299) + "]"
     assert max(map(len, pieces)) < 4 * len(wide)
     pulled.clear()
-    next(cli._joined(items(), "[", ", ", "]", ", ".join))
+    next(cli._pieces(items(), ", ".join, "[", ", ", "]"))
     assert pulled == [0]
+
+
+def test_pieces_write_the_items_pulled_before_an_error():
+    # pieces of 1, 2 and 4 items: the third stops at its second item
+    def items():
+        yield from "abcde"
+        raise ValueError("past the limit")
+
+    written = []
+    with pytest.raises(ValueError, match="past the limit"):
+        written.extend(cli._pieces(items(), "".join, "<", "|", ">"))
+    assert written == ["<a", "|bc", "|de"]
+    assert list(cli._pieces("", "".join, "<", "|", ">")) == ["<>"]
