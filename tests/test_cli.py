@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
-from decimal import Inexact
+from decimal import Inexact, getcontext
 from fractions import Fraction
 
 import pytest
@@ -351,6 +351,18 @@ def test_cesaro_inv1px_refuses_from_the_lone_odd_primes(capsys, monkeypatch):
     assert_digit_limit_exit(code, out, err, "--decimal N")
     monkeypatch.undo()
     assert sums.cesaro_mean("inv1px", 7500).denominator >= 10**DIGIT_LIMIT
+    # the product checked is that of those primes, found by trial division;
+    # isqrt(2n) is the prime 11 at n = 61 and 3 at n = 5
+    checked = []
+    monkeypatch.setattr(cli, "_check_printable", lambda n, *_: checked.append(n))
+    for n in (1, 2, 3, 5, 61, 100, 7500):
+        checked.clear()
+        cli._check_inv1px_printable(n)
+        odd = range(3, 2 * n + 1, 2)
+        primes = (p for p in odd if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+        lone = [p for p in primes if len(range(p * (n // p + 1), 2 * n + 1, p)) == 1]
+        assert checked == [math.prod(lone)]
+    monkeypatch.undo()
     # a mean that prints prints the same bytes, near the widest one that does
     for n in (4900, 4929):
         code, out, _ = run(capsys, "cesaro", "inv1px", str(n))
@@ -539,6 +551,10 @@ DECIMAL_EXAMPLES = [
     (Fraction(-15 * 10**4000) + Fraction(1, 3 << 4000), 1),
     (Fraction(25, 10**5) - Fraction(1, 3 << 4000), 1),
     (Fraction(25 * 10**40), 1),  # cut without loss: the lower bound is the tie
+    # 10**-1 scales the cut quotient (shift -1), settled and near a tie
+    (Fraction(12345 * (3 << 17000) + 1, 3 << 17000), 1),
+    (Fraction(15 * 10**3) + Fraction(1, 3 << 17000), 1),
+    (Fraction(3**20000, 7**11400), 30),  # 10**123 cut as well: b_hi shifted up
 ]
 
 
@@ -557,6 +573,10 @@ DECIMAL_EXAMPLES = [
 @example((Fraction(1, 4) + Fraction(1, 3 * 10**40), 1))
 @example((Fraction(1, 3), 5000))
 @example((Fraction(-1, 3 << 300), 1))  # the sign of a cut quotient of -1
+@example((Fraction((1 << 8001) + 1, 3 << 4000), 1))  # V(2**4000), cut
+@example((Fraction((1 << 8001) + 1, 3 << 4000), 1000))  # V(2**4000), divided
+@example((Fraction(12300 * 10**3000), 3))  # an exact cut quotient
+@example((Fraction(-12300 * 10**3000), 3000))  # a narrow integer, rounded
 def test_decimal_str_is_the_decimal_division(case):
     value, digits = case
     assert cli._decimal_str(value, digits) == str(significant(value, digits))
@@ -581,7 +601,7 @@ def test_decimal_str_settles_quotients_both_ways(monkeypatch):
     # the last example, 138 bits at 1 digit, is divided as Decimals (its cut
     # width, 100 bits, passes half its width), so its quotient is asked directly
     assert spy(25 * 10**40, 1, -38, 100) == (2500, 0)
-    assert ways.count("cut") == 3 and ways.count("full width") == 6
+    assert ways.count("cut") == 5 and ways.count("full width") == 7
 
 
 def test_decimal_str_sheds_the_trailing_zeros_of_an_exact_cut_quotient(monkeypatch):
@@ -620,13 +640,63 @@ def test_decimal_str_divides_as_decimals_from_half_the_operands_width(monkeypatc
         cuts.clear()
         assert cli._decimal_str(value, digits) == str(significant(value, digits))
         assert cuts == asked
+    # below the cut, an integer is converted once and rounded, never divided;
+    # any other value is divided, over a power of two at no more digits than
+    # bits(p) + bits(q), enough for the ending decimal it has
+    converted, divided = [], []
+    to_decimal = cli._to_decimal
+
+    class Divisions(Decimal):
+        def __truediv__(self, other):
+            divided.append((int(self), int(other), getcontext().prec))
+            return Decimal(self) / other
+
+    def convert(n, power=None):
+        converted.append(n)
+        return Divisions(to_decimal(n, power))
+
+    monkeypatch.setattr(cli, "_to_decimal", convert)
+    p, q = ((1 << 8001) + 1) // 3, 1 << 4000  # V(2**4000): 8000 bits over 4001
+    for value, digits, calls, precision in (
+        (Fraction(-12300 * 10**3000), 3000, [-12300 * 10**3000], None),
+        (Fraction(p, q), 1000, [p, q], 1000),
+        (Fraction(p, q), 20000, [p, q], 12001),
+        (Fraction(1, 3), 20000, [1, 3], 20000),
+    ):
+        converted.clear(), divided.clear()
+        assert cli._decimal_str(value, digits) == str(significant(value, digits))
+        assert cuts == [] and converted == calls
+        assert divided == ([] if precision is None else [(*calls, precision)])
 
 
-@pytest.mark.parametrize("bits", [1, 100, 1 << 14, (1 << 14) + 1, (1 << 15) + 3, 10**5])
-def test_to_decimal_is_decimal_of_the_int(bits):
+@pytest.mark.parametrize(
+    "bits", [1, 100, 1 << 14, (1 << 14) + 1, (1 << 14) + 2, (1 << 15) + 3, 10**5]
+)
+def test_to_decimal_is_decimal_of_the_int(bits, monkeypatch):
+    # an int of 16386 bits or more is converted by halves, and each power of
+    # two they are joined by is converted once: one Decimal a part not halved
+    # and one a distinct half
+    calls, made = [], []
+    to_decimal = cli._to_decimal
+
+    def spy(n, power=None):
+        calls.append(n)
+        return to_decimal(n, power)
+
+    def decimal(value):
+        made.append(value)
+        return Decimal(value)
+
+    monkeypatch.setattr(cli, "_to_decimal", spy)
+    monkeypatch.setattr(cli, "Decimal", decimal)
     for n in ((1 << bits) - 1, 1 << bits, random.Random(bits).getrandbits(bits)):
         for signed in (n, -n):
+            calls.clear(), made.clear()
             assert str(cli._to_decimal(signed)) == str(Decimal(signed))
+            halved = [k.bit_length() >> 1 for k in calls if k.bit_length() >= 16386]
+            assert (len(calls) > 1) == (n.bit_length() >= 16386)
+            assert len(calls) == 1 + 2 * len(halved)
+            assert len(made) == len(calls) - len(halved) + len(set(halved))
 
 
 def test_decimal_prints_values_past_the_default_exponent_range(capsys):
