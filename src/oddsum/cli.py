@@ -11,7 +11,7 @@ Every command takes --format plain|json|csv and --decimal N (N
 significant digits, round-half-even; exact p/q strings otherwise).
 One emitter writes every format: csv is a header line, then a line per
 row; json is an object per line, or one array for table and scan.  Rows
-stream out as computed: table and scan read a sums.Kernel's column over
+stream out as computed: table and scan read a deviations.Kernel's column over
 windows of up to 4096 n, and table reduces and renders the exact cells of
 a window column 64 at a time, through bitcore.dyadic_pairs.  One writer cuts
 every table, json array and scan line into pieces of about 8 KB, with the
@@ -60,9 +60,9 @@ from .bitcore import (
     str_digit_limit,
     tilde,
 )
-from .deviations import _windows
+from .deviations import Kernel, _windows, dev_g_closed, dev_u_closed, dev_v, h_eval
 from .extremal import _g_below_windows, argmax_g, lambda_m, theta
-from .sums import KERNELS, Kernel, alpha
+from .sums import alpha, g_fast, u_fast, v_fast
 
 __all__ = ["DECIMAL_DIGITS_CAP", "main", "parse_nat"]
 
@@ -75,13 +75,13 @@ DECIMAL_DIGITS_CAP = 10**6
 
 EVAL_FUNCTIONS = {
     "alpha": alpha,
-    "V": KERNELS["v_fast"],
-    "U": KERNELS["u_fast"],
-    "G": KERNELS["g_fast"],
-    "v": KERNELS["dev_v"],
-    "u": KERNELS["dev_u_closed"],
-    "g": KERNELS["dev_g_closed"],
-    "h": KERNELS["h_eval"],
+    "V": v_fast,
+    "U": u_fast,
+    "G": g_fast,
+    "v": dev_v,
+    "u": dev_u_closed,
+    "g": dev_g_closed,
+    "h": h_eval,
     "theta": theta,
     "hat": hat,
     "tilde": tilde,

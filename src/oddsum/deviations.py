@@ -22,13 +22,15 @@ where 2h - n obeys 3u's doubling rule below, since h(2x + e) = h(x) + (1-e) x,
 and both vanish at n = 0.
 
 Each closed form lives once, as an integer core: _dev_v_core, _triple_u
-and _dev_g_closed_core, which dev_v, dev_u_closed and dev_g_closed wrap
-and from which sums builds V, U and G, so the checkers of V, U and G
-check every closed form.  dev_u and dev_g, the doubling rules carrying
-3u and v, are their independent second evaluators.  dev_v_recur (v's
-rule digit by digit) and dev_g_digit (half the sum of v(n >> (p+1))
-over the zero digits p < m of n) are references for the tests and the
-benchmark that no checker reads.  Over a window of consecutive n in one
+and _dev_g_closed_core, from which sums builds V, U and G, so the checkers
+of V, U and G check every closed form.  dev_u and dev_g, the doubling rules
+carrying 3u and v, are their independent second evaluators.  Each shipped
+kernel (dev_v, dev_u, dev_g, dev_u_closed, dev_g_closed, h_eval and sums'
+three) is a Kernel record of its core and its column over a _Window; called,
+it gives the core's num where den is 1, else num / den by dyadic_third.
+dev_v_recur (v's rule digit by digit) and dev_g_digit (half the sum of
+v(n >> (p+1)) over the zero digits p < m of n) are references for the
+tests and the benchmark that no checker reads.  Over a window of consecutive n in one
 block, _stepped builds reverse, h, dev_u's 3u and dev_g's state 8 digits
 at a time, each from the scalar core's own table entry for the chunk,
 and a _Window holds them for one window, each built on its first read.
@@ -67,6 +69,7 @@ depth and no intermediate reductions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -76,6 +79,7 @@ from . import bitcore
 from .bitcore import DomainError, dyadic_third, reverse_digits
 
 __all__ = [
+    "Kernel",
     "dev_g",
     "dev_g_closed",
     "dev_g_digit",
@@ -131,6 +135,29 @@ def _walk(n: int, table: list, kf: int, ks: int, kt: int) -> tuple[int, int, int
     return f, s, level
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Kernel:
+    """A shipped kernel: core(n), its value as an unreduced (num, den), den
+    3 * 2**m (dev_g's own off it), 3 or 1; column(w), the cores over a
+    _Window w.  Called, the value: num where den is 1, else num / den reduced."""
+
+    name: str
+    core: Callable[[int], tuple[int, int]]
+    column: Callable
+
+    def __call__(self, n: int):
+        num, den = self.core(n)
+        return num if den == 1 else dyadic_third(num, den)
+
+    def __reduce__(self):  # by reference, as a function pickles
+        return _shipped, (self.name,)
+
+
+def _shipped(name: str) -> Kernel:  # what a pickled Kernel loads as
+    from .sums import KERNELS  # not at the top: sums imports this module
+    return KERNELS[name]
+
+
 def _dev_v_core(n: int) -> tuple[int, int]:
     """v(n) as (reverse(n), 3 * 2**m), unreduced; (0, 3) at n = 0."""
     if n < 0:
@@ -138,14 +165,10 @@ def _dev_v_core(n: int) -> tuple[int, int]:
     return (reverse_digits(n), 3 << (n.bit_length() - 1)) if n else (0, 3)
 
 
-def dev_v(n: int) -> Fraction:
-    """v(n) by the digit formula: reversed binary digits over 3 * 2**m."""
-    return dyadic_third(*_dev_v_core(n))
+# v(n) by the digit formula: reversed binary digits over 3 * 2**m
+dev_v = Kernel("dev_v", _dev_v_core, lambda w: zip(w.reverse, repeat(3 << w.m)))
 
 
-# The second evaluators, dev_u_closed and the brute oracles build their own
-# Fraction(num, den), so no check reads a value reduced by dyadic_third on both
-# sides; and a gcd against 3, as in dev_u, is linear already.
 def dev_v_recur(n: int) -> Fraction:
     """v(n) by the doubling rules, one digit at a time from the top."""
     if n < 0:
@@ -166,9 +189,8 @@ def _dev_u_core(n: int) -> tuple[int, int]:
     return _walk(n, _U_STEP, 0, 8, 0)[0], 3
 
 
-def dev_u(n: int) -> Fraction:
-    """u(n) by the doubling rule, carrying the integer 3*u, 8 digits per step."""
-    return Fraction(*_dev_u_core(n))
+# u(n) by the doubling rule, carrying the integer 3*u, 8 digits per step
+dev_u = Kernel("dev_u", _dev_u_core, lambda w: zip(w.dev_u, repeat(3)))
 
 
 def _h_product(n: int) -> int:
@@ -182,7 +204,7 @@ def _h_product(n: int) -> int:
     return n - ((n.bit_count() + total) >> 1)
 
 
-def h_eval(n: int) -> int:
+def _h(n: int) -> int:
     """h(n): sum of the right shifts n >> (k+1) over the zero digits k < m."""
     if n <= 0:
         raise DomainError("h_eval requires n >= 1")
@@ -191,16 +213,19 @@ def h_eval(n: int) -> int:
     return _walk(n, _H_STEP, 0, 8, 0)[0]  # the defining sum, 8 digits per step
 
 
+h_eval = Kernel("h_eval", lambda n: (_h(n), 1), lambda w: zip(w.h, repeat(1)))
+
+
 def _triple_u(n: int) -> int:
     """3u(n) = 2h(n) - n for n >= 0, taking h(0) as 0: dev_u_closed's core."""
     if n < 0:
         raise DomainError("dev_u_closed requires n >= 0")
-    return 2 * h_eval(n) - n if n else 0
+    return 2 * _h(n) - n if n else 0
 
 
-def dev_u_closed(n: int) -> Fraction:
-    """u(n) by the closed form (2h(n) - n) / 3."""
-    return Fraction(_triple_u(n), 3)
+# u(n) by the closed form (2h(n) - n) / 3
+dev_u_closed = Kernel("dev_u_closed", lambda n: (_triple_u(n), 3), lambda w: zip(
+    w.triple_u, repeat(3)))  # fmt: skip
 
 
 def _dev_g_core(n: int) -> tuple[int, int]:
@@ -214,9 +239,8 @@ def _dev_g_core(n: int) -> tuple[int, int]:
     return g_num >> drop, 3 << (level - drop)
 
 
-def dev_g(n: int) -> Fraction:
-    """g(n) by the doubling rules, carrying v alongside, 8 digits per step."""
-    return dyadic_third(*_dev_g_core(n))
+# g(n) by the doubling rules, carrying v alongside, 8 digits per step
+dev_g = Kernel("dev_g", _dev_g_core, lambda w: w.dev_g)
 
 
 def _dev_g_closed_core(n: int) -> tuple[int, int]:
@@ -229,6 +253,11 @@ def _dev_g_closed_core(n: int) -> tuple[int, int]:
 
 def _g_num(n: int, m: int, reverse: int, triple_u: int) -> int:  # g(n) * 3 * 2**m
     return ((n - triple_u) << m) - (n + 1) * reverse
+
+
+# g(n) by the closed form n/3 - (n+1) v(n) - u(n), over 3 * 2**m
+dev_g_closed = Kernel("dev_g_closed", _dev_g_closed_core, lambda w: zip(
+    w.g, repeat(3 << w.m)))  # fmt: skip
 
 
 # A window holds at most this many n, and n of at most this many digits in all
@@ -291,7 +320,7 @@ class _Window:
 
     @cached_property
     def h(self) -> list[int]:
-        return _stepped(self.ns, h_eval, _affine_steps(_H_STEP))
+        return _stepped(self.ns, _h, _affine_steps(_H_STEP))
 
     @cached_property
     def triple_u(self) -> list[int]:  # 2h(n) - n, 0 at n = 0, as in _triple_u
@@ -311,11 +340,6 @@ class _Window:
         drop = states[0][2] - self.m  # the byte padding's zeros
         mask, den, wide = (1 << drop) - 1, 3 << self.m, 3 << states[0][2]
         return [(g >> drop, den) if not g & mask else (g, wide) for g, _, _ in states]
-
-
-def dev_g_closed(n: int) -> Fraction:
-    """g(n) by the closed form n/3 - (n+1) v(n) - u(n), over 3 * 2**m."""
-    return dyadic_third(*_dev_g_closed_core(n))
 
 
 def dev_g_digit(n: int) -> Fraction:

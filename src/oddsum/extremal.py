@@ -31,8 +31,8 @@ from itertools import chain, starmap
 
 from . import deviations
 from .bitcore import DomainError, check_cap, round_pow2_over_3
-from .deviations import _dev_g_core, _dev_v_core, _windows, dev_g
-from .sums import KERNELS, _check_brute_cap, u_fast, v_fast
+from .deviations import _dev_g_core, _dev_v_core, _windows, dev_g, dev_g_closed
+from .sums import _check_brute_cap, u_fast, v_fast
 
 __all__ = [
     "EQUALITY_KINDS",
@@ -288,7 +288,7 @@ def _g_below_windows(threshold: Fraction, bound: int):
         raise DomainError("scan_g_below requires bound >= 0")
     _check_brute_cap("the scan bound", bound)
     p, q = Fraction(threshold).as_integer_ratio()
-    column = KERNELS["dev_g_closed"].column  # (num, 3 * 2**m) over a window of I_m
+    column = dev_g_closed.column  # (num, 3 * 2**m) over a window of I_m
 
     def below(window):  # g(n) < p/q iff num < p * 3 * 2**m / q, rounded up
         top = -(-p * (3 << window.m) // q)

@@ -24,12 +24,13 @@ deviations module:
 
 The fast evaluators take these envelopes over 3 * 2**m, m = floor_lg(n),
 and the deviations' integer cores, where each digit formula lives once.
-V and G build one Fraction from their core's (num, 3 * 2**m), reduced by
-bitcore.dyadic_third in linear time and with no math.gcd.  U and G read h
-at n itself, as 3u(n) = 2h(n) - n, and cost what h does, one product:
-O(M(m)), M(m) the cost of an m-bit product.  KERNELS holds each shipped
-kernel as a Kernel record, which verify, table and scan g-below read by
-its type through its core at one n and its column over a window.
+v_fast, u_fast and g_fast are deviations.Kernel records: called, V and G
+reduce their core's (num, 3 * 2**m) by bitcore.dyadic_third, in linear
+time and with no math.gcd.  U and G read h at n itself, as
+3u(n) = 2h(n) - n, and cost what h does, one product: O(M(m)), M(m) the
+cost of an m-bit product.  KERNELS lists the nine shipped records by
+name; verify, table and scan g-below read a record by its type, through
+its core at one n and its column over a window.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
@@ -37,14 +38,13 @@ profiles f, which tend to (2/3) * integral of f over [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import deviations
-from .bitcore import DomainError, check_cap, dyadic_third
-from .deviations import dev_g, dev_g_closed, dev_u, dev_u_closed, dev_v, h_eval
+from .bitcore import DomainError, check_cap
+from .deviations import Kernel, dev_g, dev_g_closed, dev_u, dev_u_closed, dev_v, h_eval
 
 __all__ = [
     "CESARO_FUNCTIONS",
@@ -52,7 +52,6 @@ __all__ = [
     "CESARO_X2_WIDTH_CAP",
     "DEFAULT_BRUTE_CAP",
     "KERNELS",
-    "Kernel",
     "alpha",
     "cesaro_limit",
     "cesaro_mean",
@@ -148,16 +147,11 @@ def _v_num(n: int, m: int, reverse: int) -> int:  # V(n) * 3 * 2**m, from revers
     return (n << (m + 1)) + reverse
 
 
-def v_fast(n: int) -> Fraction:
-    """V(n) = 2n/3 + v(n)."""
-    return dyadic_third(*_v_fast_core(n))
-
-
-def u_fast(n: int) -> int:
-    """U(n) = (n**2 + n)/3 - u(n)."""
+def _u_fast_core(n: int) -> tuple[int, int]:
+    """U(n) as (U(n), 1): the envelope (n**2 + n)/3 minus u's core."""
     if n < 0:
         raise DomainError("u_fast requires n >= 0")
-    return _u_of(n, deviations._triple_u(n))
+    return _u_of(n, deviations._triple_u(n)), 1
 
 
 def _u_of(n: int, triple_u: int) -> int:  # U(n), from 3u(n)
@@ -176,40 +170,17 @@ def _g_num(n: int, m: int, g: int) -> int:  # G(n) * 3 * 2**m, from g(n) * 3 * 2
     return (n * (n + 2) << m) - g
 
 
-def g_fast(n: int) -> Fraction:
-    """G(n) = n(n+2)/3 - g(n)."""
-    return dyadic_third(*_g_fast_core(n))
+# V(n) = 2n/3 + v(n), U(n) = (n**2 + n)/3 - u(n) and G(n) = n(n+2)/3 - g(n)
+v_fast = Kernel("v_fast", _v_fast_core, lambda w: zip(
+    map(_v_num, w.ns, repeat(w.m), w.reverse), repeat(3 << w.m)))  # fmt: skip
+u_fast = Kernel("u_fast", _u_fast_core, lambda w: zip(
+    map(_u_of, w.ns, w.triple_u), repeat(1)))  # fmt: skip
+g_fast = Kernel("g_fast", _g_fast_core, lambda w: zip(
+    map(_g_num, w.ns, repeat(w.m), w.g), repeat(3 << w.m)))  # fmt: skip
 
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Kernel:
-    """A shipped kernel: called, its exact value; core(n), that value as an
-    unreduced (num, den); column(w), the cores over a deviations._Window w."""
-
-    value: Callable
-    core: Callable[[int], tuple[int, int]]
-    column: Callable
-
-    def __call__(self, n: int):
-        return self.value(n)
-
-
-# The nine shipped kernels, by name; den is 3 * 2**m (dev_g's own off it), 3 or 1
-KERNELS = {kernel.value.__name__: kernel for kernel in (
-    Kernel(v_fast, _v_fast_core, lambda w: zip(
-        map(_v_num, w.ns, repeat(w.m), w.reverse), repeat(3 << w.m))),
-    Kernel(u_fast, lambda n: (u_fast(n), 1), lambda w: zip(
-        map(_u_of, w.ns, w.triple_u), repeat(1))),
-    Kernel(g_fast, _g_fast_core, lambda w: zip(
-        map(_g_num, w.ns, repeat(w.m), w.g), repeat(3 << w.m))),
-    Kernel(dev_v, deviations._dev_v_core, lambda w: zip(w.reverse, repeat(3 << w.m))),
-    Kernel(dev_u, deviations._dev_u_core, lambda w: zip(w.dev_u, repeat(3))),
-    Kernel(dev_g, deviations._dev_g_core, lambda w: w.dev_g),
-    Kernel(dev_u_closed, lambda n: (deviations._triple_u(n), 3), lambda w: zip(
-        w.triple_u, repeat(3))),
-    Kernel(dev_g_closed, deviations._dev_g_closed_core, lambda w: zip(
-        w.g, repeat(3 << w.m))),
-    Kernel(h_eval, lambda n: (h_eval(n), 1), lambda w: zip(w.h, repeat(1))),
+# The nine shipped kernels, by name
+KERNELS = {kernel.name: kernel for kernel in (
+    v_fast, u_fast, g_fast, dev_v, dev_u, dev_g, dev_u_closed, dev_g_closed, h_eval
 )}  # fmt: skip
 
 

@@ -33,8 +33,8 @@ TRIAL_WORK_CAP the trials times the square of their width.
 
 Verdicts are integer arithmetic.  Every checker reads its evaluators
 from an Evaluators bundle, and _reader reads each value as one exact pair
-(num, den): a sums.Kernel, as every default field is, by its integer
-core (den 3 * 2**m, 3 or 1), and any other callable by the
+(num, den): a deviations.Kernel, as every default field is, by its
+integer core (den 3 * 2**m, 3 or 1), and any other callable by the
 as_integer_ratio of what it returns.  The n-range scans read a Kernel's
 column a window of one block at a time, hat(n), tilde(n) and 4n + r from
 mirrored or scaled windows, and call any other field once per n, lazily;
@@ -60,7 +60,7 @@ from itertools import chain, starmap
 from typing import Callable
 
 from . import bitcore, deviations, extremal, sums
-from .sums import Kernel
+from .deviations import Kernel
 
 __all__ = [
     "CLAIMS",
@@ -133,13 +133,13 @@ class RangeConfig:
 class Evaluators:
     """The functions under test, bundled so tests can corrupt one of them."""
 
-    sum_v: Callable[[int], Fraction] = sums.KERNELS["v_fast"]
-    sum_u: Callable[[int], int] = sums.KERNELS["u_fast"]
-    sum_g: Callable[[int], Fraction] = sums.KERNELS["g_fast"]
-    dev_v: Callable[[int], Fraction] = sums.KERNELS["dev_v"]
-    dev_u: Callable[[int], Fraction] = sums.KERNELS["dev_u"]
-    dev_g: Callable[[int], Fraction] = sums.KERNELS["dev_g"]
-    h: Callable[[int], int] = sums.KERNELS["h_eval"]
+    sum_v: Callable[[int], Fraction] = sums.v_fast
+    sum_u: Callable[[int], int] = sums.u_fast
+    sum_g: Callable[[int], Fraction] = sums.g_fast
+    dev_v: Callable[[int], Fraction] = deviations.dev_v
+    dev_u: Callable[[int], Fraction] = deviations.dev_u
+    dev_g: Callable[[int], Fraction] = deviations.dev_g
+    h: Callable[[int], int] = deviations.h_eval
 
 
 @dataclass(frozen=True)

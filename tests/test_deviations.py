@@ -1,10 +1,13 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oddsum
 from oddsum import cli, deviations, sums, verify
 from oddsum.bitcore import DomainError, hat, tilde
 from oddsum.bitcore import reverse_digits
@@ -160,6 +163,22 @@ def test_h_endpoints_at_large_m():
     for m in (_H_BASE_BITS, _H_BASE_BITS + 1, 1000, 4097, 20000):
         assert h_eval(1 << m) == (1 << m) - 1
         assert h_eval((1 << m) - 1) == 0
+
+
+def test_h_takes_the_product_branch_past_h_base_bits_digits(monkeypatch):
+    widths, product = [], deviations._h_product
+
+    def spy(n):
+        widths.append(n.bit_length())
+        return product(n)
+
+    monkeypatch.setattr(deviations, "_h_product", spy)
+    around_base = range(_H_BASE_BITS - 2, _H_BASE_BITS + 3)
+    for n in [n for m in around_base for n in (1 << m, (2 << m) - 1)]:
+        assert h_eval(n) == h_linear(n), n
+    # the defining sum up to _H_BASE_BITS digits below the leading one, the
+    # product from one more
+    assert widths == [_H_BASE_BITS + 2] * 2 + [_H_BASE_BITS + 3] * 2
 
 
 # The product branch, h from n * reverse(n), against the defining sum: called
@@ -360,9 +379,9 @@ def test_cores_are_their_kernels_at_every_width(n):
 
 
 def test_cores_reject_negative_arguments():
-    for core, kernel in CORES:
-        with pytest.raises(DomainError, match=kernel.__name__):
-            core(-1)
+    for kernel in sums.KERNELS.values():
+        with pytest.raises(DomainError, match=kernel.name):
+            kernel.core(-1)
 
 
 # Windows inside one block I_m: starts from 1 to 2**max_m, widths from 1 to
@@ -421,7 +440,18 @@ WINDOWED_EVAL = {cli.EVAL_FUNCTIONS[name] for name in "VUGvugh"}
 def test_every_column_is_its_core_or_its_kernel_at_each_n(window):
     assert set(sums.KERNELS.values()) == SHIPPED | WINDOWED_EVAL
     assert len(sums.KERNELS) == 9
-    assert all(isinstance(kernel, sums.Kernel) for kernel in SHIPPED | WINDOWED_EVAL)
+    assert all(isinstance(k, deviations.Kernel) for k in SHIPPED | WINDOWED_EVAL)
+    # each is the module-level record of its name, wherever it is read from
+    ev = verify.Evaluators()
+    defaults = (ev.sum_v, ev.sum_u, ev.sum_g, ev.dev_v, ev.dev_u, ev.dev_g, ev.h)
+    records = (v_fast, u_fast, g_fast, dev_v, dev_u, dev_g, h_eval)
+    for kernel, record in zip(defaults, records):
+        assert kernel is record, record.name
+    evaluated = (v_fast, u_fast, g_fast, dev_v, dev_u_closed, dev_g_closed, h_eval)
+    for letter, record in zip("VUGvugh", evaluated):
+        assert cli.EVAL_FUNCTIONS[letter] is record, letter
+    for name, kernel in sums.KERNELS.items():
+        assert kernel is getattr(oddsum, name) and kernel.name == name
     lo, hi = window
     w = _Window(lo, hi)
     for name, kernel in sums.KERNELS.items():
@@ -432,7 +462,18 @@ def test_every_column_is_its_core_or_its_kernel_at_each_n(window):
         den = dens.get(name, 3 << w.m)
         assert pairs == [(p, den) for p, _ in pairs], name
         values = [Fraction(p, q) for p, q in pairs]
-        assert values == list(map(kernel, w.ns)) == list(map(kernel.value, w.ns)), name
+        assert values == list(map(kernel, w.ns)), name
+        # an int where the core's den is 1, else a reduced Fraction
+        kind = int if den == 1 else Fraction
+        assert all(type(value) is kind for value in map(kernel, w.ns)), name
+
+
+def test_each_public_kernel_pickles_and_copies_as_itself():
+    for name in sums.KERNELS:
+        kernel = getattr(oddsum, name)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(kernel, protocol)) is kernel, name
+        assert copy.deepcopy(kernel) is kernel and copy.copy(kernel) is kernel, name
 
 
 def test_a_window_builds_each_kernel_on_first_read_and_keeps_it():
@@ -570,12 +611,40 @@ def test_affine_steps_over_a_window_are_the_walk_at_each_n(rule, window):
     assert deviations._stepped(ns, f, steps) == list(map(f, ns))
 
 
+def test_a_window_reads_its_core_only_below_256_or_at_two_values():
+    # each window steps from the one below, 8 digits shorter, down to at most
+    # 2 values or to n < 256, which the scalar core gives
+    calls = []
+
+    def core(n):
+        calls.append(n)
+        return n
+
+    def steps(xs, values, m):
+        return [(x << 8) + c for x in values for c in range(256)]
+
+    reads = [
+        ((5, 200), list(range(5, 201))),
+        ((200, 256), [0, 1]),
+        ((1000, 1001), [1000, 1001]),
+        ((1000, 1002), [3]),
+        ((1000, 1099), [3, 4]),
+    ]
+    for (lo, hi), read in reads:
+        calls.clear()
+        ns = range(lo, hi + 1)
+        assert deviations._stepped(ns, core, steps) == list(ns)
+        assert calls == read, (lo, hi)
+
+
 def test_window_columns_at_zero_are_the_cores():
     w = _Window(0, 0)
     assert w.reverse == [deviations._dev_v_core(0)[0]] == [0]
     assert w.dev_u == [_dev_u_core(0)[0]] == [0]
     assert w.dev_g == [_dev_g_core(0)] == [(0, 3)]
-    for name in ("dev_v", "dev_u", "dev_g"):  # what EQL21 reads at n = 0
+    assert w.triple_u == [_triple_u(0)] == [0]
+    # dev_v, dev_u and dev_g are what EQL21 reads at n = 0
+    for name in ("dev_v", "dev_u", "dev_g", "dev_u_closed", "dev_g_closed", "u_fast"):
         kernel = sums.KERNELS[name]
         assert list(kernel.column(w)) == [kernel.core(0)]
 

@@ -295,5 +295,5 @@ def test_cores_are_their_kernels_at_every_width(n):
 
 def test_cores_reject_arguments_below_one():
     for core, kernel in CORES:
-        with pytest.raises(DomainError, match=kernel.__name__):
+        with pytest.raises(DomainError, match=kernel.name):
             core(0)

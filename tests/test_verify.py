@@ -623,15 +623,14 @@ def test_window_columns_follow_a_corrupted_table_entry_for_entry(
 
 
 def test_eval_g_runs_the_kernel_that_verify_reads_through_g(monkeypatch, capsys):
-    # g's closed-form core, off by 1/12 at n = 5 where sums.g_fast looks it up:
-    # ORACLE_UVG reads it through G, and `oddsum eval g` prints it
-    core = deviations._dev_g_closed_core
+    # g's closed form, off by 1/12 at n = 5: the core of `oddsum eval g` and
+    # of sums.g_fast read it, and ORACLE_UVG reads it through G
+    g_num = deviations._g_num
 
-    def corrupted(n):
-        num, den = core(n)
-        return num + (n == 5), den
+    def corrupted(n, m, reverse, triple_u):
+        return g_num(n, m, reverse, triple_u) + (n == 5)
 
-    monkeypatch.setattr(deviations, "_dev_g_closed_core", corrupted)
+    monkeypatch.setattr(deviations, "_g_num", corrupted)
     assert check("ORACLE_UVG", SMOKE).line() == (
         "ORACLE_UVG fail checked=5 n=5 function=G expected=23/2 actual=137/12"
     )
