@@ -21,19 +21,19 @@ two digit kernels, the digit reversal of n and the functional h below
 where 2h - n obeys 3u's doubling rule below, since h(2x + e) = h(x) + (1-e) x,
 and both vanish at n = 0.
 
-Each closed form lives once, as an integer core: _dev_v_core, _triple_u
-and _dev_g_closed_core, from which sums builds V, U and G, so the checkers
-of V, U and G check every closed form.  dev_u and dev_g, the doubling rules
-carrying 3u and v, are their independent second evaluators.  Each shipped
-kernel (dev_v, dev_u, dev_g, dev_u_closed, dev_g_closed, h_eval and sums'
-three) is a Kernel record of its core and its column over a _Window; called,
-it gives the core's num where den is 1, else num / den by dyadic_third.
-dev_v_recur (v's rule digit by digit) and dev_g_digit (half the sum of
-v(n >> (p+1)) over the zero digits p < m of n) are references for the
-tests and the benchmark that no checker reads.  Over a window of consecutive n in one
-block, _stepped builds reverse, h, dev_u's 3u and dev_g's state 8 digits
-at a time, each from the scalar core's own table entry for the chunk,
-and a _Window holds them for one window, each built on its first read.
+Each closed form lives once, in dev_v, dev_u_closed or dev_g_closed, whose
+core and column sums reads for V, U and G, so the checkers of V, U and G
+check each, den included.  dev_u and dev_g, the doubling rules carrying 3u
+and v, are their independent second evaluators.  Each shipped kernel (dev_v,
+dev_u, dev_g, dev_u_closed, dev_g_closed, h_eval and sums' three) is a
+Kernel record of its core and its column over a _Window; called, it gives
+the core's num where den is 1, else num / den by dyadic_third.  dev_v_recur
+(v's rule digit by digit) and dev_g_digit (half the sum of v(n >> (p+1))
+over the zero digits p < m of n) are references for the tests and the
+benchmark that no checker reads.  Over a window of consecutive n in one
+block, _stepped builds reverse, h, dev_u's 3u and dev_g's state 8 digits at
+a time, each from the scalar core's own table entry for the chunk, and a
+_Window holds them for one window, each built on its first read.
 
 h(n) = sum of floor(n / 2**(k+1)) over the zero digits k of n below the
 leading one; it sits in [0, n-1], vanishing exactly on the all-ones

@@ -22,15 +22,16 @@ deviations module:
     V(n) = 2n/3 + v(n)      U(n) = (n**2 + n)/3 - u(n)
     G(n) = n(n+2)/3 - g(n)
 
-The fast evaluators take these envelopes over 3 * 2**m, m = floor_lg(n),
-and the deviations' integer cores, where each digit formula lives once.
-v_fast, u_fast and g_fast are deviations.Kernel records: called, V and G
-reduce their core's (num, 3 * 2**m) by bitcore.dyadic_third, in linear
-time and with no math.gcd.  U and G read h at n itself, as
+The fast evaluators are these identities on the deviations' records, where
+each digit formula lives once: v_fast reads dev_v, u_fast dev_u_closed and
+g_fast dev_g_closed, the (num, den) that eval and table print for v, u and
+g, den included.  Each is a deviations.Kernel record: called, V and G
+reduce their (num, 3 * 2**m), m = floor_lg(n), by bitcore.dyadic_third, in
+linear time and with no math.gcd.  U and G read h at n itself, as
 3u(n) = 2h(n) - n, and cost what h does, one product: O(M(m)), M(m) the
-cost of an m-bit product.  KERNELS lists the nine shipped records by
-name; verify, table and scan g-below read a record by its type, through
-its core at one n and its column over a window.
+cost of an m-bit product.  KERNELS lists the nine shipped records by name;
+verify, table and scan g-below read a record by its type, through its core
+at one n and its column over a window.
 
 Also here: the Cesaro means (1/n) sum f(k/n) alpha(k)/k for a few fixed
 profiles f, which tend to (2/3) * integral of f over [0, 1].
@@ -39,10 +40,8 @@ profiles f, which tend to (2/3) * integral of f over [0, 1].
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
-from . import deviations
 from .bitcore import DomainError, check_cap
 from .deviations import Kernel, dev_g, dev_g_closed, dev_u, dev_u_closed, dev_v, h_eval
 
@@ -135,48 +134,27 @@ def scan_sums(limit: int) -> Iterator[tuple[int, Fraction, int, Fraction]]:
         )
 
 
-def _v_fast_core(n: int) -> tuple[int, int]:
-    """V(n) as (num, 3 * 2**m), unreduced: the envelope 2n/3 plus v's core."""
-    if n <= 0:
-        raise DomainError("v_fast requires n >= 1")
-    v, den = deviations._dev_v_core(n)
-    return _v_num(n, den.bit_length() - 2, v), den
+def _envelope(name: str, low: int, deviation: Kernel, rule: Callable) -> Kernel:
+    """The sum's Kernel, named name for n >= low, off its deviation's record:
+    rule(n, (num, den)) takes the deviation's pair at n to the sum's, read at
+    one n from deviation.core and over a window from deviation.column."""
+
+    def core(n: int) -> tuple[int, int]:
+        if n < low:
+            raise DomainError(f"{name} requires n >= {low}")
+        return rule(n, deviation.core(n))
+
+    return Kernel(name, core, lambda w: map(rule, w.ns, deviation.column(w)))
 
 
-def _v_num(n: int, m: int, reverse: int) -> int:  # V(n) * 3 * 2**m, from reverse(n)
-    return (n << (m + 1)) + reverse
-
-
-def _u_fast_core(n: int) -> tuple[int, int]:
-    """U(n) as (U(n), 1): the envelope (n**2 + n)/3 minus u's core."""
-    if n < 0:
-        raise DomainError("u_fast requires n >= 0")
-    return _u_of(n, deviations._triple_u(n)), 1
-
-
-def _u_of(n: int, triple_u: int) -> int:  # U(n), from 3u(n)
-    return (n * n + n - triple_u) // 3
-
-
-def _g_fast_core(n: int) -> tuple[int, int]:
-    """G(n) as (num, 3 * 2**m), unreduced: the envelope n(n+2)/3 minus g's core."""
-    if n <= 0:
-        raise DomainError("g_fast requires n >= 1")
-    g, den = deviations._dev_g_closed_core(n)
-    return _g_num(n, den.bit_length() - 2, g), den
-
-
-def _g_num(n: int, m: int, g: int) -> int:  # G(n) * 3 * 2**m, from g(n) * 3 * 2**m
-    return (n * (n + 2) << m) - g
-
-
-# V(n) = 2n/3 + v(n), U(n) = (n**2 + n)/3 - u(n) and G(n) = n(n+2)/3 - g(n)
-v_fast = Kernel("v_fast", _v_fast_core, lambda w: zip(
-    map(_v_num, w.ns, repeat(w.m), w.reverse), repeat(3 << w.m)))  # fmt: skip
-u_fast = Kernel("u_fast", _u_fast_core, lambda w: zip(
-    map(_u_of, w.ns, w.triple_u), repeat(1)))  # fmt: skip
-g_fast = Kernel("g_fast", _g_fast_core, lambda w: zip(
-    map(_g_num, w.ns, repeat(w.m), w.g), repeat(3 << w.m)))  # fmt: skip
+# V(n) = 2n/3 + v(n), U(n) = (n**2 + n)/3 - u(n) and G(n) = n(n+2)/3 - g(n),
+# over the deviation's den p[1]: 3 * 2**m for v and g, 3 for u (U's is 1)
+v_fast = _envelope("v_fast", 1, dev_v, lambda n, p: (
+    (n << p[1].bit_length() - 1) + p[0], p[1]))  # fmt: skip
+u_fast = _envelope("u_fast", 0, dev_u_closed, lambda n, p: (
+    ((n * n + n) * p[1] // 3 - p[0]) // p[1], 1))  # fmt: skip
+g_fast = _envelope("g_fast", 1, dev_g_closed, lambda n, p: (
+    (n * (n + 2) << p[1].bit_length() - 2) - p[0], p[1]))  # fmt: skip
 
 # The nine shipped kernels, by name
 KERNELS = {kernel.name: kernel for kernel in (

@@ -533,16 +533,17 @@ def _check_eql21(ev, item):
 def _check_l2(config, ev):
     """The two skeleton-offset difference identities, all p >= 0, r >= 0."""
     grid, pairs = _skeleton_grid(config, 0)
+    read_g, read_v = _reader(ev.dev_g), _reader(ev.dev_v)
 
     def gap(a: int, b: int) -> tuple[int, int]:
         """g(a) - g(b) as an unreduced numerator and denominator."""
-        (c, d), (e, f) = _reader(ev.dev_g)(a), _reader(ev.dev_g)(b)
+        (c, d), (e, f) = read_g(a), read_g(b)
         return c * f - e * d, d * f
 
     def identities(ev, item):
         r, p = item
         x_r, y_r, x_next = pairs[r].x, pairs[r].y, pairs[r + 1].x
-        s, t = _reader(ev.dev_v)(p)
+        s, t = read_v(p)
         # g(base + offset) - g(base + y_r) = (1 + sign / 2**k) sign (1/3 - v(p)) / 3,
         # the right side over 9t * 2**k for v(p) = s/t, the left over den
         for name, base, offset, k, sign in (
@@ -562,6 +563,7 @@ def _check_l2(config, ev):
 def _check_cor6(config, ev):
     """Four strict orderings between skeleton offsets, all p, r >= 1."""
     grid, pairs = _skeleton_grid(config, 1)
+    read = _reader(ev.dev_g)
 
     def orderings(ev, item):
         r, p = item
@@ -575,7 +577,7 @@ def _check_cor6(config, ev):
             (odd_base + y_prev, odd_base + x_r),
             (odd_base + (1 << (2 * r)) + x_r, odd_base + y_r),
         ):
-            (a, b), (c, d) = _reader(ev.dev_g)(smaller), _reader(ev.dev_g)(larger)
+            (a, b), (c, d) = read(smaller), read(larger)
             if not a * d < c * b:
                 return _ce(
                     f"g({smaller}) < g({larger})",

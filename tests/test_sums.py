@@ -267,7 +267,7 @@ def test_cesaro_means_stay_near_their_limits(n):
 
 # The integer cores the verify checkers read in place of v_fast and g_fast:
 # (num, 3 * 2**m), whose Fraction is the kernel's.
-CORES = [(sums._v_fast_core, v_fast), (sums._g_fast_core, g_fast)]
+CORES = [(v_fast.core, v_fast), (g_fast.core, g_fast)]
 # every width up to 20,000 bits, across h's product branch past _H_BASE_BITS digits
 exact_width = st.integers(min_value=1, max_value=20_000).flatmap(
     lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)

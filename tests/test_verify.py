@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -636,6 +637,38 @@ def test_eval_g_runs_the_kernel_that_verify_reads_through_g(monkeypatch, capsys)
     )
     assert main(["eval", "g", "5"]) == 0
     assert capsys.readouterr().out == "1/4\n"
+
+
+# A wrong den in the u or g record that `oddsum eval` and `table` print, at
+# one n (core) or over a window (column).  V, U and G are built from those
+# records, so the checkers of the sums fail on it at a small n.
+DEN_FAULTS = [
+    ("dev_u_closed", "core", lambda n: (deviations._triple_u(n), 4),
+     {"ORACLE_UVG", "EQ4_IDENTITY"}),
+    ("dev_u_closed", "column", lambda w: zip(w.triple_u, repeat(4)),
+     {"T2", "EQ4_IDENTITY"}),
+    ("dev_g_closed", "core", lambda n: (
+        deviations._dev_g_closed_core(n)[0], 3 << n.bit_length()),
+     {"ORACLE_UVG", "EQ4_IDENTITY"}),
+    ("dev_g_closed", "column", lambda w: zip(w.g, repeat(3 << w.m + 1)),
+     {"EQ4_IDENTITY"}),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "name, field, corrupted, failing", DEN_FAULTS, ids=[f"{n}.{f}" for n, f, *_ in DEN_FAULTS]
+)
+def test_a_wrong_den_in_a_printed_deviation_fails_verify(
+    name, field, corrupted, failing
+):
+    kernel = getattr(deviations, name)
+    saved = getattr(kernel, field)
+    object.__setattr__(kernel, field, corrupted)  # a Kernel record is frozen
+    try:
+        reports = run_all(SMOKE)
+    finally:
+        object.__setattr__(kernel, field, saved)
+    assert {r.theorem for r in reports if r.status == "fail"} == failing
 
 
 # The checkers read a shipped kernel through its integer core and any other
